@@ -21,6 +21,9 @@
 //! * **Batching.** [`Session::solve_batch`] dedups repeated queries and
 //!   shards the distinct ones over scoped worker threads (the scenario
 //!   runner's pool pattern); answers are deterministic and order-preserving.
+//!   Batch answers are shared: a memo hit and every repeat within a batch
+//!   hand out the memo's own `Arc<Report>`, so a repeat costs a reference
+//!   count, not a copy of its distance matrix.
 //!
 //! # Faults
 //!
@@ -47,6 +50,10 @@
 //! let again = session.solve(&Query::apsp().build().unwrap()).unwrap();
 //! assert_eq!(apsp.rounds, again.rounds);
 //! assert_eq!(session.stats().report_hits, 1);
+//! // Batches share reports: every repeat is the memo's own allocation.
+//! let batch = session.solve_batch(&vec![Query::apsp().build().unwrap(); 4]);
+//! let first = batch[0].as_ref().unwrap();
+//! assert!(batch.iter().all(|r| std::sync::Arc::ptr_eq(r.as_ref().unwrap(), first)));
 //! ```
 
 use std::collections::HashMap;
@@ -180,7 +187,7 @@ pub struct Session {
     cfg: SessionConfig,
     epoch: u64,
     prepared: Prepared,
-    reports: Mutex<HashMap<(u64, QueryKey), Report>>,
+    reports: Mutex<HashMap<(u64, QueryKey), Arc<Report>>>,
     queries: AtomicU64,
     report_hits: AtomicU64,
 }
@@ -361,22 +368,26 @@ impl Session {
     ///   [`QueryError::SessionXiMismatch`].
     /// * Any simulator/protocol error a fresh `solve` would produce.
     pub fn solve(&self, query: &Query) -> Result<Report, HybridError> {
+        self.solve_shared(query).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`Session::solve`] without the copy: a memo hit returns the memo's
+    /// own report, and a miss returns the report it just memoised.
+    fn solve_shared(&self, query: &Query) -> Result<Arc<Report>, HybridError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         query.validate().map_err(HybridError::Query)?;
         self.check_xi(query)?;
         if !self.cacheable() {
-            return self.execute(query).0;
+            return self.execute(query).0.map(Arc::new);
         }
         let key = (self.epoch, query_key(query));
         if let Some(report) = self.reports.lock().expect("report memo lock").get(&key) {
             self.report_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(report.clone());
+            return Ok(Arc::clone(report));
         }
-        let (result, _) = self.execute(query);
-        if let Ok(report) = &result {
-            self.reports.lock().expect("report memo lock").insert(key, report.clone());
-        }
-        result
+        let report = Arc::new(self.execute(query).0?);
+        self.reports.lock().expect("report memo lock").insert(key, Arc::clone(&report));
+        Ok(report)
     }
 
     /// Like [`Session::solve`], but verifies the caller's `seed` against the
@@ -417,7 +428,7 @@ impl Session {
                     .lock()
                     .expect("report memo lock")
                     .entry((self.epoch, query_key(query)))
-                    .or_insert_with(|| report.clone());
+                    .or_insert_with(|| Arc::new(report.clone()));
             }
         }
         (result, metrics)
@@ -447,7 +458,7 @@ impl Session {
                     .lock()
                     .expect("report memo lock")
                     .entry((self.epoch, query_key(query)))
-                    .or_insert_with(|| report.clone());
+                    .or_insert_with(|| Arc::new(report.clone()));
             }
         }
         (result, net.into_metrics(), rec)
@@ -458,11 +469,11 @@ impl Session {
     /// and memo-served repeats appear as report-cache hit events instead of
     /// re-running — the per-item cost structure of a serving workload, made
     /// visible. Results are bit-identical to [`Session::solve_batch`] on the
-    /// same inputs.
+    /// same inputs, and memo-served ones are shared the same way.
     pub fn solve_batch_traced(
         &self,
         queries: &[Query],
-    ) -> (Vec<Result<Report, HybridError>>, Recorder) {
+    ) -> (Vec<Result<Arc<Report>, HybridError>>, Recorder) {
         let mut rec = Recorder::new();
         let mut results = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
@@ -472,7 +483,7 @@ impl Session {
                     .lock()
                     .expect("report memo lock")
                     .get(&(self.epoch, query_key(q)))
-                    .cloned()
+                    .map(Arc::clone)
             } else {
                 None
             };
@@ -489,19 +500,22 @@ impl Session {
             rec.span_begin(&span, 0);
             rec.merge(&item);
             rec.span_end(&span, metrics.rounds);
-            results.push(result);
+            results.push(result.map(Arc::new));
         }
         (results, rec)
     }
 
     /// Serves a batch of independent queries, returning one result per input
-    /// in order. Repeated queries are deduplicated (solved once, answers
-    /// cloned) and the distinct ones are sharded over scoped worker threads
+    /// in order. Repeated queries are deduplicated (solved once, the answer
+    /// shared) and the distinct ones are sharded over scoped worker threads
     /// (`HYBRID_SESSION_THREADS` overrides the worker count). Every answer
-    /// is bit-identical to solving the batch sequentially. On a faulty
-    /// session dedup is disabled along with every other cache: each input
-    /// runs its own cold protocol, per the module-level contract.
-    pub fn solve_batch(&self, queries: &[Query]) -> Vec<Result<Report, HybridError>> {
+    /// is bit-identical to solving the batch sequentially. Reports are
+    /// shared, never copied: a memo hit returns the memo's own
+    /// [`Arc<Report>`], and the repeats of one query within the batch all
+    /// return that same allocation. On a faulty session dedup is disabled
+    /// along with every other cache: each input runs its own cold protocol,
+    /// per the module-level contract.
+    pub fn solve_batch(&self, queries: &[Query]) -> Vec<Result<Arc<Report>, HybridError>> {
         // Dedup: map each input to the first occurrence of its key. A
         // non-cacheable (faulty) session skips dedup entirely — its contract
         // is that *every* query runs cold, through the batch path too.
@@ -525,12 +539,13 @@ impl Session {
         let repeats = (queries.len() - unique.len()) as u64;
         self.queries.fetch_add(repeats, Ordering::Relaxed);
         self.report_hits.fetch_add(repeats, Ordering::Relaxed);
+        type Served = Result<Arc<Report>, HybridError>;
         let threads = batch_workers(unique.len());
-        let results: Vec<Result<Report, HybridError>> = if threads <= 1 {
-            unique.iter().map(|&i| self.solve(&queries[i])).collect()
+        let results: Vec<Served> = if threads <= 1 {
+            unique.iter().map(|&i| self.solve_shared(&queries[i])).collect()
         } else {
             use std::sync::atomic::AtomicUsize;
-            let slots: Vec<Mutex<Option<Result<Report, HybridError>>>> =
+            let slots: Vec<Mutex<Option<Served>>> =
                 unique.iter().map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
@@ -540,7 +555,7 @@ impl Session {
                         if u >= unique.len() {
                             break;
                         }
-                        let result = self.solve(&queries[unique[u]]);
+                        let result = self.solve_shared(&queries[unique[u]]);
                         *slots[u].lock().expect("batch slot lock") = Some(result);
                     });
                 }
@@ -555,8 +570,14 @@ impl Session {
 }
 
 /// Batch worker count: `HYBRID_SESSION_THREADS` override, else the machine's
-/// parallelism, capped at the number of distinct queries.
+/// parallelism, capped at the number of distinct queries. A batch of at most
+/// one distinct query runs on the caller and skips both lookups: the
+/// `available_parallelism` probe reads the affinity mask and cgroup quota
+/// files, which costs more than the memo hit it would schedule.
 fn batch_workers(jobs: usize) -> usize {
+    if jobs <= 1 {
+        return 1;
+    }
     let available = std::env::var("HYBRID_SESSION_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -684,6 +705,27 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.queries, 5);
         assert_eq!(stats.report_hits, 3);
+    }
+
+    #[test]
+    fn memo_hits_and_batch_repeats_share_one_report() {
+        let g = grid(7, 7, 1).unwrap();
+        let session = Session::new(&g, SessionConfig::new(9)).unwrap();
+        let a = Query::apsp().build().unwrap();
+        let b = Query::sssp(NodeId::new(0)).build().unwrap();
+        // A cold batch: the repeats of `a` share the allocation of its one run.
+        let first = session.solve_batch(&[a.clone(), b.clone(), a.clone()]);
+        let a0 = first[0].as_ref().unwrap();
+        assert!(Arc::ptr_eq(a0, first[2].as_ref().unwrap()), "in-batch repeat copied");
+        // A later batch serves both queries from the memo: the same objects.
+        let again = session.solve_batch(&[b.clone(), a.clone(), a.clone()]);
+        assert!(Arc::ptr_eq(first[1].as_ref().unwrap(), again[0].as_ref().unwrap()));
+        assert!(Arc::ptr_eq(a0, again[1].as_ref().unwrap()), "memo hit copied");
+        assert!(Arc::ptr_eq(a0, again[2].as_ref().unwrap()));
+        // `solve` still hands out an owned report equal to the shared one.
+        let owned: Report = session.solve(&a).unwrap();
+        assert_same_report(&owned, a0);
+        assert_eq!(session.stats().report_hits, 1 + 3 + 1);
     }
 
     #[test]

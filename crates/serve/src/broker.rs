@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
 use hybrid_core::session::{Session, SessionConfig};
@@ -546,7 +546,9 @@ impl Request {
 #[derive(Debug, Clone)]
 pub struct Response {
     /// The full report, bit-identical to a cold solve of the same request.
-    pub report: Report,
+    /// Shared, not copied: a session-memo hit hands out the memo's own
+    /// report.
+    pub report: Arc<Report>,
     /// [`report_digest`] of the report — what went on the wire and what was
     /// compared against the cold reference.
     pub digest: u64,
@@ -572,8 +574,22 @@ struct SessionKey {
 }
 
 /// A memoized cold reference: the digest a served report must match, or the
-/// structured error a cold solve produces.
-type ColdCell = Arc<Mutex<Option<Result<u64, HybridError>>>>;
+/// structured error a cold solve produces (`None` until the first request
+/// computes it).
+#[derive(Default)]
+struct ColdRef {
+    expected: Option<Result<u64, HybridError>>,
+    /// The report object last found equal to `expected`, so that serving the
+    /// same object again reuses its digest instead of re-hashing it. Held by
+    /// `Weak`: the allocation, and so the address, cannot be reused while
+    /// this handle lives, yet the report's buffers are freed when its last
+    /// owner drops it. A shared report cannot change either (`Arc::get_mut`
+    /// refuses while a `Weak` exists), so an address match is a content
+    /// match.
+    matched: Weak<Report>,
+}
+
+type ColdCell = Arc<Mutex<ColdRef>>;
 
 /// Failure of one coalesced solve, as stored in the batch results map: a
 /// structured solver error, or a contained panic that poisoned the whole
@@ -589,7 +605,7 @@ enum BatchError {
 struct BatchState {
     next_ticket: u64,
     pending: Vec<(u64, Query)>,
-    results: HashMap<u64, Result<Report, BatchError>>,
+    results: HashMap<u64, Result<Arc<Report>, BatchError>>,
     leader: bool,
     /// Set when a queued request carries a chaos panic injection; the next
     /// batch leader panics inside its (contained) solve call.
@@ -610,7 +626,8 @@ struct SessionEntry {
     batch_cv: Condvar,
     /// Memoized cold references: canonical query spec → digest (or the
     /// structured error a cold solve produces). Computed at most once per
-    /// distinct query per session; every response is compared against it.
+    /// distinct query per session; every response is compared against it,
+    /// and each served report object is hashed once.
     cold: Mutex<HashMap<String, ColdCell>>,
 }
 
@@ -1145,7 +1162,7 @@ impl<'g> Broker<'g> {
         entry: &SessionEntry,
         query: &Query,
         chaos_panic: bool,
-    ) -> Result<Report, BatchError> {
+    ) -> Result<Arc<Report>, BatchError> {
         let ticket = {
             let mut b = entry.batch.lock().expect("batch lock");
             let t = b.next_ticket;
@@ -1201,33 +1218,68 @@ impl<'g> Broker<'g> {
     /// plan), memoized per distinct query. The referee always runs on *the
     /// session's own graph* — the epoch the session is serving — so a
     /// catalog delta applied mid-flight can never make it compare against
-    /// the wrong graph version. Returns the digest a served report must
-    /// match, or the structured error a cold solve produces.
-    fn cold_reference(
-        &self,
-        entry: &SessionEntry,
-        seed: u64,
-        query: &Query,
-    ) -> Result<u64, HybridError> {
+    /// the wrong graph version. Returns the query's cell, holding the digest
+    /// a served report must match or the structured error a cold solve
+    /// produces.
+    fn cold_reference(&self, entry: &SessionEntry, seed: u64, query: &Query) -> ColdCell {
         let spec = crate::protocol::query_spec(query);
         let cell = {
             let mut cold = entry.cold.lock().expect("cold referee map lock");
             Arc::clone(cold.entry(spec).or_default())
         };
         let mut slot = cell.lock().expect("cold referee cell lock");
-        if let Some(cached) = slot.as_ref() {
-            return cached.clone();
+        if slot.expected.is_none() {
+            let mut net = HybridNet::new(entry.session.graph(), self.cfg.net);
+            if let Some(threads) = self.cfg.round_threads {
+                net.set_round_threads(threads);
+            }
+            if let Some(plan) = &entry.faults {
+                net.inject_faults(plan).expect("fault plan validated at registration");
+            }
+            slot.expected = Some(solve(&mut net, query, seed).map(|r| report_digest(&r)));
         }
-        let mut net = HybridNet::new(entry.session.graph(), self.cfg.net);
-        if let Some(threads) = self.cfg.round_threads {
-            net.set_round_threads(threads);
+        drop(slot);
+        cell
+    }
+
+    /// Compares a served result against its cold reference `cell` and
+    /// counts the comparison in `verified`. A report that is the very object
+    /// last found equal reuses that digest; any other report is hashed and
+    /// compared, and becomes the remembered object when it matches.
+    /// Divergence counts in `mismatches` and fails with
+    /// [`ServeError::BitIdentityMismatch`]; equal solve errors pass through
+    /// as [`ServeError::Solve`].
+    fn check_against_cold(
+        &self,
+        cell: &Mutex<ColdRef>,
+        query: &'static str,
+        served: Result<Arc<Report>, HybridError>,
+    ) -> Result<(Arc<Report>, u64), ServeError> {
+        self.verified.fetch_add(1, Ordering::Relaxed);
+        let (expected, matched) = {
+            let slot = cell.lock().expect("cold referee cell lock");
+            let expected = slot.expected.clone().expect("cold reference computed");
+            (expected, slot.matched.as_ptr())
+        };
+        let mismatch = |expected: Result<u64, HybridError>, got: u64| {
+            self.mismatches.fetch_add(1, Ordering::Relaxed);
+            ServeError::BitIdentityMismatch { query, expected: expected.unwrap_or(0), got }
+        };
+        match (served, expected) {
+            (Ok(report), Ok(expected)) => {
+                if std::ptr::eq(Arc::as_ptr(&report), matched) {
+                    return Ok((report, expected));
+                }
+                let digest = report_digest(&report);
+                if digest != expected {
+                    return Err(mismatch(Ok(expected), digest));
+                }
+                cell.lock().expect("cold referee cell lock").matched = Arc::downgrade(&report);
+                Ok((report, digest))
+            }
+            (Err(served), Err(cold)) if served == cold => Err(ServeError::Solve(served)),
+            (served, expected) => Err(mismatch(expected, served.map_or(0, |r| report_digest(&r)))),
         }
-        if let Some(plan) = &entry.faults {
-            net.inject_faults(plan).expect("fault plan validated at registration");
-        }
-        let result = solve(&mut net, query, seed).map(|r| report_digest(&r));
-        *slot = Some(result.clone());
-        result
     }
 
     /// Serves one request end to end: breaker gate, admission, session
@@ -1290,32 +1342,9 @@ impl<'g> Broker<'g> {
             }
         };
         let response = if self.cfg.verify {
-            let cold = self.cold_reference(&entry, seed, &req.query);
-            self.verified.fetch_add(1, Ordering::Relaxed);
-            match (result, cold) {
-                (Ok(report), Ok(expected)) => {
-                    let digest = report_digest(&report);
-                    if digest == expected {
-                        Ok(Response { report, digest, verified: true, session_hit })
-                    } else {
-                        self.mismatches.fetch_add(1, Ordering::Relaxed);
-                        Err(ServeError::BitIdentityMismatch {
-                            query: req.query.label(),
-                            expected,
-                            got: digest,
-                        })
-                    }
-                }
-                (Err(served), Err(cold)) if served == cold => Err(ServeError::Solve(served)),
-                (served, cold) => {
-                    self.mismatches.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::BitIdentityMismatch {
-                        query: req.query.label(),
-                        expected: cold.map_or(0, |d| d),
-                        got: served.map_or(0, |r| report_digest(&r)),
-                    })
-                }
-            }
+            let cell = self.cold_reference(&entry, seed, &req.query);
+            self.check_against_cold(&cell, req.query.label(), result)
+                .map(|(report, digest)| Response { report, digest, verified: true, session_hit })
         } else {
             match result {
                 Ok(report) => {
@@ -1422,4 +1451,60 @@ pub struct UpdateOutcome {
     /// Preambles that took the full re-prepare fallback, summed over those
     /// sessions.
     pub full: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use hybrid_core::solver::Answer;
+    use hybrid_graph::generators::grid;
+    use hybrid_graph::NodeId;
+
+    use super::*;
+
+    #[test]
+    fn digest_reuse_covers_only_the_object_last_found_equal() {
+        let mut catalog = GraphCatalog::new();
+        catalog.insert("g", grid(5, 5, 1).unwrap());
+        let broker = Broker::new(&catalog, BrokerConfig::new(7));
+        broker.register_tenant("t", TenantConfig::new(1)).unwrap();
+        let q = Query::sssp(NodeId::new(0)).build().unwrap();
+        let served = broker.serve(&Request::new("t", "g", q.clone())).unwrap();
+        let entry = broker.lru.lock().unwrap().values().next().cloned().unwrap();
+        let cell = broker.cold_reference(&entry, 7, &q);
+        let remembered =
+            |r: &Arc<Report>| std::ptr::eq(cell.lock().unwrap().matched.as_ptr(), Arc::as_ptr(r));
+        assert!(remembered(&served.report), "the served report is remembered");
+        let label = q.label();
+
+        // The remembered object itself: its digest is reused.
+        let (_, digest) =
+            broker.check_against_cold(&cell, label, Ok(Arc::clone(&served.report))).unwrap();
+        assert_eq!(digest, served.digest);
+
+        // Equal content in another allocation: hashed, accepted, remembered.
+        let copy = Arc::new(Report::clone(&served.report));
+        let (_, digest) = broker.check_against_cold(&cell, label, Ok(Arc::clone(&copy))).unwrap();
+        assert_eq!(digest, served.digest);
+        assert!(remembered(&copy), "an equal copy is re-hashed and becomes the remembered object");
+
+        // One distance changed: hashed and refused.
+        let mut tampered = Report::clone(&served.report);
+        let Answer::DistanceRow { dist, .. } = &mut tampered.answer else {
+            panic!("SSSP answers are distance rows")
+        };
+        dist[1] += 1;
+        let tampered = Arc::new(tampered);
+        let err = broker.check_against_cold(&cell, label, Ok(Arc::clone(&tampered))).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::BitIdentityMismatch {
+                query: label,
+                expected: served.digest,
+                got: report_digest(&tampered),
+            }
+        );
+        assert!(remembered(&copy), "a refused report is never remembered");
+        let stats = broker.stats();
+        assert_eq!((stats.verified, stats.mismatches), (4, 1), "every check is counted");
+    }
 }

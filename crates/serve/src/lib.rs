@@ -32,7 +32,11 @@
 //!   compared against a memoized *cold* solve of the same request — answers,
 //!   guarantees, and the simulated round bill are bit-identical by contract;
 //!   only wall-clock latency is nondeterministic. This holds for faulty
-//!   tenants too.
+//!   tenants too. Responses share the session memo's report
+//!   ([`Response::report`] is an `Arc`), and each served report object is
+//!   hashed once: serving the object last found equal again reuses its
+//!   digest, any other report is hashed in full. Every response is still
+//!   compared and counted in [`BrokerStats::verified`].
 //! * **Wire protocol.** One request line in, one response line out
 //!   ([`protocol`]), served in-process ([`Broker::serve_line`]) and over TCP
 //!   ([`tcp::serve_tcp`] — length-capped framing, graceful
@@ -86,6 +90,7 @@ pub use tcp::{serve_tcp, TcpServer, MAX_LINE_BYTES};
 mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
 
     use hybrid_core::solver::{DiameterCorollary, Guarantee, KsspCorollary, Query, SsspVariant};
     use hybrid_graph::generators::{grid, path};
@@ -187,6 +192,26 @@ mod tests {
         let s = broker.stats();
         assert_eq!(s.mismatches, 0);
         assert!(s.degraded_served >= 2, "crashy served degraded answers, got {s:?}");
+    }
+
+    #[test]
+    fn memo_hits_share_the_report_and_stay_verified() {
+        let mut catalog = GraphCatalog::new();
+        catalog.insert("g", grid(6, 6, 1).unwrap());
+        let broker = Broker::new(&catalog, BrokerConfig::new(7));
+        broker.register_tenant("t", TenantConfig::new(1)).unwrap();
+        let req = Request::new("t", "g", Query::apsp().build().unwrap());
+        let first = broker.serve(&req).unwrap();
+        for _ in 0..4 {
+            let resp = broker.serve(&req).unwrap();
+            assert!(resp.verified, "every memo hit is checked against the cold referee");
+            assert_eq!(resp.digest, report_digest(&resp.report));
+            assert_eq!(resp.digest, first.digest);
+            assert!(Arc::ptr_eq(&resp.report, &first.report), "a memo hit is not copied");
+        }
+        let s = broker.stats();
+        assert_eq!((s.served, s.verified, s.mismatches), (5, 5, 0));
+        assert_eq!(s.session_report_hits, 4);
     }
 
     #[test]

@@ -4,13 +4,20 @@
 //! A counting global allocator tallies every `alloc`/`realloc`; after a warm-up
 //! call (which sizes the scratch arenas, the inbox arena, and interns the phase
 //! label) repeated exchanges with the same shape must not allocate at all.
+//!
+//! The tally is per thread and armed only on the thread that measures, so
+//! allocations on the harness's other threads (tests running in parallel)
+//! never leak into a measured window. Every measured exchange stays on the
+//! calling thread: each moves at most a few hundred messages, below the
+//! round engine's sharding floor, so the per-thread tally sees all of its
+//! allocations.
 
 // Per-node `for v in 0..n` index loops mirror the message-passing idiom of
 // the simulator (v *is* the node).
 #![allow(clippy::needless_range_loop)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hybrid_graph::generators::path;
 use hybrid_graph::NodeId;
@@ -18,11 +25,29 @@ use hybrid_sim::{Envelope, FlatInboxes, HybridConfig, HybridNet};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread's allocations are counted.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread while armed.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation if the calling thread is armed. The thread-locals
+/// are const-initialised and need no destructor, so touching them from
+/// inside the allocator never allocates; `try_with` covers threads that are
+/// already tearing down.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so the
+// `GlobalAlloc` contract holds exactly as it does for `System`; the counting
+// beside it touches only const-initialised thread-locals and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,16 +64,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far on the calling thread while it was armed.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// The allocation counter is process-global, so measured windows of the
-/// tests in this binary must never overlap: every test holds this lock.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+/// Arms the calling thread's counter for the rest of the test: only this
+/// thread's allocations count, wherever the harness runs the test.
+fn measure_this_thread() {
+    ARMED.with(|armed| armed.set(true));
 }
 
 /// Refills `outbox` with a fixed all-to-some pattern (stays within existing
@@ -64,7 +88,7 @@ fn fill_outbox(outbox: &mut Vec<Envelope<u64>>, n: usize, round: u64) {
 
 #[test]
 fn steady_state_exchange_into_is_allocation_free() {
-    let _guard = serial();
+    measure_this_thread();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mut outbox: Vec<Envelope<u64>> = Vec::new();
@@ -100,7 +124,7 @@ fn steady_state_exchange_into_is_allocation_free() {
 /// once, never re-allocated per call.
 #[test]
 fn trivial_plan_with_reliable_mode_stays_allocation_free() {
-    let _guard = serial();
+    measure_this_thread();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     net.inject_faults(&hybrid_sim::FaultPlan::default()).expect("trivial plan is valid");
@@ -139,7 +163,7 @@ fn trivial_plan_with_reliable_mode_stays_allocation_free() {
 /// pins it allocation-free in steady state.
 #[test]
 fn steady_state_ksssp_request_response_round_is_allocation_free() {
-    let _guard = serial();
+    measure_this_thread();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mut req_outbox: Vec<Envelope<u32>> = Vec::new();
@@ -192,7 +216,7 @@ fn steady_state_ksssp_request_response_round_is_allocation_free() {
 /// and arena and pins the steady-state rounds allocation-free.
 #[test]
 fn steady_state_diameter_tree_round_is_allocation_free() {
-    let _guard = serial();
+    measure_this_thread();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mut outbox: Vec<Envelope<u64>> = Vec::new();
@@ -236,7 +260,7 @@ fn steady_state_diameter_tree_round_is_allocation_free() {
 /// before any tracing and after tracing has been switched off again.
 #[test]
 fn exchange_with_tracing_disabled_stays_allocation_free() {
-    let _guard = serial();
+    measure_this_thread();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mut outbox: Vec<Envelope<u64>> = Vec::new();
@@ -279,7 +303,7 @@ fn exchange_with_tracing_disabled_stays_allocation_free() {
 /// vectors remain.
 #[test]
 fn drain_queues_repeat_calls_reuse_pooled_scratch() {
-    let _guard = serial();
+    measure_this_thread();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mk_queues = || -> Vec<Vec<Envelope<u64>>> {
@@ -307,7 +331,7 @@ fn drain_queues_repeat_calls_reuse_pooled_scratch() {
 
 #[test]
 fn steady_state_drain_round_is_allocation_free() {
-    let _guard = serial();
+    measure_this_thread();
     // The drain loop's per-round work (pacing bookkeeping + exchange_into +
     // arena drain) must also be allocation-free; the nested-Vec result of the
     // public `drain_queues` is the only allocating part, so this test drives
