@@ -7,14 +7,21 @@
 //! most 2 messages — far under the NCC caps, so this protocol is safe even under
 //! the strict overflow policy.
 
+use std::ops::Range;
+
 use hybrid_graph::NodeId;
-use hybrid_sim::{Envelope, HybridNet};
+use hybrid_sim::{Envelope, FlatInboxes, HybridNet, SendQueues};
 
 use crate::error::HybridError;
 
 /// Depth of node `v` in the implicit binary tree over IDs (root = 0).
 fn depth(v: usize) -> u32 {
     (v + 1).ilog2()
+}
+
+/// The IDs at depth `d` of the tree over `0..n`: `2^d − 1 .. 2^(d+1) − 1`.
+fn level(d: usize, n: usize) -> Range<usize> {
+    ((1 << d) - 1).min(n)..((1 << (d + 1)) - 1).min(n)
 }
 
 fn parent(v: usize) -> usize {
@@ -63,46 +70,41 @@ where
     let n = net.n();
     assert_eq!(inputs.len(), n, "one input slot per node");
     let mut acc: Vec<Option<T>> = inputs.to_vec();
-    let max_depth = if n <= 1 { 0 } else { depth(n - 1) };
+    let max_depth = if n <= 1 { 0 } else { depth(n - 1) as usize };
+    // One outbox and one inbox arena serve every level's exchange.
+    let mut outbox = Vec::new();
+    let mut inboxes = FlatInboxes::new();
 
     // Convergecast: one exchange per depth level, deepest first.
     for d in (1..=max_depth).rev() {
-        let mut outbox = Vec::new();
-        for v in 0..n {
-            if depth(v) == d {
-                // A depth-d node is done after it sends (only shallower nodes
-                // receive from here on), so the value moves out instead of
-                // being cloned.
-                if let Some(val) = acc[v].take() {
-                    outbox.push(Envelope::new(NodeId::new(v), NodeId::new(parent(v)), val));
-                }
+        for v in level(d, n) {
+            // A depth-d node is done after it sends (only shallower nodes
+            // receive from here on), so the value moves out instead of
+            // being cloned.
+            if let Some(val) = acc[v].take() {
+                outbox.push(Envelope::new(NodeId::new(v), NodeId::new(parent(v)), val));
             }
         }
-        let inboxes = net.exchange(phase, outbox)?;
-        for (v, msgs) in inboxes.into_iter().enumerate() {
-            for (_, val) in msgs {
-                acc[v] = Some(match acc[v].take() {
-                    Some(cur) => combine(cur, val),
-                    None => val,
-                });
-            }
-        }
+        net.exchange_into(phase, &mut outbox, &mut inboxes)?;
+        inboxes.drain_into(|v, (_, val)| {
+            acc[v] = Some(match acc[v].take() {
+                Some(cur) => combine(cur, val),
+                None => val,
+            });
+        });
     }
 
     let result = acc[0].take();
 
     // Broadcast down: one exchange per depth level.
-    if let Some(res) = result.clone() {
+    if let Some(res) = &result {
         for d in 0..max_depth {
-            let mut outbox = Vec::new();
-            for v in 0..n {
-                if depth(v) == d {
-                    for c in children(v, n) {
-                        outbox.push(Envelope::new(NodeId::new(v), NodeId::new(c), res.clone()));
-                    }
+            for v in level(d, n) {
+                for c in children(v, n) {
+                    outbox.push(Envelope::new(NodeId::new(v), NodeId::new(c), res.clone()));
                 }
             }
-            net.exchange(phase, outbox)?;
+            net.exchange_into(phase, &mut outbox, &mut inboxes)?;
         }
     }
     Ok(result)
@@ -132,31 +134,34 @@ pub fn broadcast_words(
     let batch = (cap / 2).max(1);
     // Route to root (node 0) unless src is the root.
     if src.index() != 0 {
-        let queue: Vec<Envelope<u64>> =
-            words.iter().map(|&w| Envelope::new(src, NodeId::new(0), w)).collect();
-        let mut queues: Vec<Vec<Envelope<u64>>> = (0..n).map(|_| Vec::new()).collect();
-        queues[src.index()] = queue;
-        net.drain_queues(phase, queues)?;
+        let mut queues = SendQueues::new();
+        queues.reset(n, std::iter::repeat_n(src.index(), words.len()));
+        for &w in words {
+            queues.push(src.index(), Envelope::new(src, NodeId::new(0), w));
+        }
+        net.drain_queues_into(phase, &mut queues, |_, _| {})?;
     }
-    // Pipelined fan-out: in round `t`, depth `d` forwards chunk `t - d`.
-    // Total rounds: depth + ⌈|words|/batch⌉ - 1 instead of their product.
+    // Pipelined fan-out: in round `t`, depth `d` forwards chunk `t - d`, so
+    // only depths `t + 1 - chunks ..= t` send. Total rounds: depth +
+    // ⌈|words|/batch⌉ - 1 instead of their product. One outbox and one
+    // inbox arena serve every round.
     let max_depth = depth(n - 1) as usize;
-    let chunks: Vec<&[u64]> = words.chunks(batch).collect();
-    for t in 0..max_depth + chunks.len() - 1 {
-        let mut outbox = Vec::new();
-        for v in 0..n {
-            let d = depth(v) as usize;
-            if d > t || t - d >= chunks.len() {
-                continue;
-            }
-            for c in children(v, n) {
-                for &w in chunks[t - d] {
-                    outbox.push(Envelope::new(NodeId::new(v), NodeId::new(c), w));
+    let chunks = words.len().div_ceil(batch);
+    let mut outbox = Vec::new();
+    let mut inboxes = FlatInboxes::new();
+    for t in 0..max_depth + chunks - 1 {
+        for d in (t + 1).saturating_sub(chunks)..=t.min(max_depth) {
+            let chunk = &words[(t - d) * batch..((t - d + 1) * batch).min(words.len())];
+            for v in level(d, n) {
+                for c in children(v, n) {
+                    for &w in chunk {
+                        outbox.push(Envelope::new(NodeId::new(v), NodeId::new(c), w));
+                    }
                 }
             }
         }
         if !outbox.is_empty() {
-            net.exchange(phase, outbox)?;
+            net.exchange_into(phase, &mut outbox, &mut inboxes)?;
         }
     }
     Ok(())

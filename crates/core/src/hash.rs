@@ -123,6 +123,27 @@ impl KWiseHash {
         NodeId::new((self.eval(label.key()) % self.range) as usize)
     }
 
+    /// [`KWiseHash::node_for`] of every label in `labels`, in order. Four
+    /// labels' Horner chains run side by side, so their independent
+    /// multiply-reduce steps overlap instead of waiting on each other; the
+    /// values are exactly `node_for`'s.
+    pub fn nodes_for(&self, labels: &[TokenLabel]) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(labels.len());
+        let mut quads = labels.chunks_exact(4);
+        for quad in &mut quads {
+            let x = [0, 1, 2, 3].map(|i| quad[i].key() % FIELD_PRIME);
+            let mut acc = [0u64; 4];
+            for &c in self.coeffs.iter().rev() {
+                for i in 0..4 {
+                    acc[i] = add_mod(mul_mod(acc[i], x[i]), c);
+                }
+            }
+            out.extend(acc.map(|a| NodeId::new((a % self.range) as usize)));
+        }
+        out.extend(quads.remainder().iter().map(|&l| self.node_for(l)));
+        out
+    }
+
     /// Serializes the seed (for broadcasting it over the global network). Each
     /// coefficient is one `O(log n)`-bit message at realistic `n`.
     pub fn seed_words(&self) -> Vec<u64> {
@@ -219,6 +240,31 @@ mod tests {
             "collision rate {rate} far from {}",
             1.0 / range as f64
         );
+    }
+
+    #[test]
+    fn nodes_for_equals_node_for_elementwise() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(5);
+        let label = |rng: &mut StdRng| {
+            TokenLabel::new(
+                NodeId::new(rng.gen_range(0..1 << 20)),
+                NodeId::new(rng.gen_range(0..1 << 20)),
+                rng.gen_range(0..1 << 20),
+            )
+        };
+        for k in [4, 36, 48] {
+            for range in [1u64, 7, 400, 2400, 1 << 20] {
+                let h = KWiseHash::sample(k, range, &mut rng);
+                let mut batches: Vec<Vec<TokenLabel>> =
+                    (0..10).map(|len| (0..len).map(|_| label(&mut rng)).collect()).collect();
+                batches.push((0..10_000).map(|_| label(&mut rng)).collect());
+                for labels in batches {
+                    let expect: Vec<NodeId> = labels.iter().map(|&l| h.node_for(l)).collect();
+                    assert_eq!(h.nodes_for(&labels), expect, "k = {k}, range = {range}");
+                }
+            }
+        }
     }
 
     #[test]

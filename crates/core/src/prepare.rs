@@ -123,14 +123,20 @@ impl NearData {
     }
 
     /// Rebuilds the arena with the runs of `dirty` nodes replaced by their
-    /// `fresh` lists and every clean run copied verbatim — the repair path's
+    /// fresh runs `fresh[fresh_starts[v]..fresh_starts[v + 1]]` and every
+    /// clean run copied verbatim — the repair path's
     /// single-pass equivalent of expanding to per-node lists, editing the
     /// dirty ones, and re-flattening through [`NearData::from_lists`]
     /// (bit-identical to that construction, without `n` intermediate
     /// allocations). The caller guarantees `self.fallbacks == 0` and a
-    /// non-empty fresh list for every dirty node, so the spliced arena is a
+    /// non-empty fresh run for every dirty node, so the spliced arena is a
     /// fallback-free cold value.
-    pub(crate) fn splice_rows(&self, dirty: &[bool], fresh: &[Vec<(usize, Distance)>]) -> NearData {
+    pub(crate) fn splice_rows(
+        &self,
+        dirty: &[bool],
+        fresh_starts: &[u32],
+        fresh: &[(u32, Distance)],
+    ) -> NearData {
         let n = self.len();
         let mut starts = Vec::with_capacity(n + 1);
         let mut idx = Vec::with_capacity(self.idx.len());
@@ -138,8 +144,8 @@ impl NearData {
         starts.push(0u32);
         for v in 0..n {
             if dirty[v] {
-                for &(i, d) in &fresh[v] {
-                    idx.push(i as u32);
+                for &(i, d) in &fresh[fresh_starts[v] as usize..fresh_starts[v + 1] as usize] {
+                    idx.push(i);
                     dist.push(d);
                 }
             } else {

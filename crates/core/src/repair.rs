@@ -185,27 +185,40 @@ fn patch_preamble(
         None => None,
     };
     // Fresh near runs of the dirty nodes, derived from the patched table in
-    // one row-major sweep (cache-friendly, and tie-flavor independent so one
-    // sweep serves both flavors). A `d_h` column can only change if the
-    // column's node is dirty, so clean runs are proven unchanged.
+    // two row-major sweeps (cache-friendly, and tie-flavor independent so one
+    // build serves both flavors): the first sizes each dirty node's run, the
+    // second fills one flat arena, `fresh[starts[v]..starts[v + 1]]`. A `d_h`
+    // column can only change if the column's node is dirty, so clean runs are
+    // proven unchanged.
     let n = new_graph.len();
     let any_near = art.near_built(NearTie::HopThenIndex).is_some()
         || art.near_built(NearTie::IndexOnly).is_some();
-    let mut fresh: Vec<Vec<(usize, Distance)>> = Vec::new();
+    let mut starts = vec![0u32; n + 1];
+    let mut fresh: Vec<(u32, Distance)> = Vec::new();
     let mut covered = true;
     if any_near && !dh_unchanged {
         let dirty_nodes: Vec<usize> =
             dirty.iter().enumerate().filter_map(|(v, &dv)| dv.then_some(v)).collect();
-        fresh = vec![Vec::new(); n];
-        for (i, row) in skeleton.dh_flat().chunks_exact(n).enumerate() {
+        let rows = skeleton.dh_flat().chunks_exact(n);
+        for row in rows.clone() {
             for &v in &dirty_nodes {
-                let d = row[v];
-                if d != INFINITY {
-                    fresh[v].push((i, d));
+                starts[v + 1] += u32::from(row[v] != INFINITY);
+            }
+        }
+        for v in 0..n {
+            starts[v + 1] += starts[v];
+        }
+        let mut next = starts[..n].to_vec();
+        fresh = vec![(0, 0); starts[n] as usize];
+        for (i, row) in rows.enumerate() {
+            for &v in &dirty_nodes {
+                if row[v] != INFINITY {
+                    fresh[next[v] as usize] = (i as u32, row[v]);
+                    next[v] += 1;
                 }
             }
         }
-        covered = dirty_nodes.iter().all(|&v| !fresh[v].is_empty());
+        covered = dirty_nodes.iter().all(|&v| starts[v] < starts[v + 1]);
     }
     let mut migrate = |tie: NearTie| -> Option<Arc<NearData>> {
         let old = art.near_built(tie)?;
@@ -214,7 +227,7 @@ fn patch_preamble(
                 return Some(old);
             }
             if covered {
-                return Some(Arc::new(old.splice_rows(dirty, &fresh)));
+                return Some(Arc::new(old.splice_rows(dirty, &starts, &fresh)));
             }
         }
         // Lemma C.1 fallback rows come from *full-graph* Dijkstras (or a

@@ -21,14 +21,14 @@
 
 use hybrid_graph::graph::log2_ceil;
 use hybrid_graph::NodeId;
-use hybrid_sim::{derive_seed, par, Envelope, FlatInboxes, HybridNet};
+use hybrid_sim::{derive_seed, Envelope, FlatInboxes, HybridNet, SendQueues};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::aggregate::broadcast_words;
 use crate::error::HybridError;
 use crate::hash::{independence_for, KWiseHash, TokenLabel};
-use crate::helpers::compute_helpers;
+use crate::helpers::{compute_helpers, HelperSets};
 
 /// A routable token: label (§2.2) plus opaque payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,12 +66,15 @@ impl RoutingRates {
 
 /// Result of a routing run.
 ///
-/// Node IDs are dense, so deliveries are stored in a flat per-node table
-/// (`delivered[r]` is receiver `r`'s token list) — no hashing on any lookup.
+/// Node IDs are dense, so deliveries live in one receiver-grouped arena:
+/// receiver `r`'s tokens are `tokens[starts[r]..starts[r + 1]]` — no hashing
+/// on any lookup.
 #[derive(Debug, Clone)]
 pub struct RoutedTokens<T> {
-    /// Tokens delivered per receiver, indexed by node ID.
-    delivered: Vec<Vec<Token<T>>>,
+    /// Delivered tokens, grouped by receiver and sorted by label within.
+    tokens: Vec<Token<T>>,
+    /// `n + 1` receiver boundaries into `tokens`.
+    starts: Vec<u32>,
     /// Helper budgets used.
     pub mu_s: usize,
     /// Helper budgets used.
@@ -83,17 +86,20 @@ pub struct RoutedTokens<T> {
 impl<T> RoutedTokens<T> {
     /// Tokens delivered to `r` (sorted by label).
     pub fn for_receiver(&self, r: NodeId) -> &[Token<T>] {
-        self.delivered.get(r.index()).map(Vec::as_slice).unwrap_or(&[])
+        match (self.starts.get(r.index()), self.starts.get(r.index() + 1)) {
+            (Some(&a), Some(&b)) => &self.tokens[a as usize..b as usize],
+            _ => &[],
+        }
     }
 
     /// Total tokens delivered.
     pub fn len(&self) -> usize {
-        self.delivered.iter().map(Vec::len).sum()
+        self.tokens.len()
     }
 
     /// Whether nothing was delivered.
     pub fn is_empty(&self) -> bool {
-        self.delivered.iter().all(Vec::is_empty)
+        self.tokens.is_empty()
     }
 }
 
@@ -121,8 +127,8 @@ pub fn mu_for(k: usize, p: f64, n: usize) -> usize {
 pub struct RoutingSession {
     senders: Vec<NodeId>,
     receivers: Vec<NodeId>,
-    hs: crate::helpers::HelperSets,
-    hr: crate::helpers::HelperSets,
+    hs: HelperSets,
+    hr: HelperSets,
     hash: KWiseHash,
     mu_s: usize,
     mu_r: usize,
@@ -150,41 +156,7 @@ impl RoutingSession {
         let n = net.n();
         let mu_s = mu_for(expected_k_s, rates.p_s, n);
         let mu_r = mu_for(expected_k_r, rates.p_r, n);
-        // Algorithm 2 step 1: helper sets. µ = 1 means every node is its own
-        // helper — zero setup rounds.
-        let hs = if mu_s > 1 {
-            compute_helpers(net, senders, mu_s, derive_seed(seed, 1), &format!("{phase}:helpers-s"))
-        } else {
-            crate::helpers::HelperSets::trivial(senders, n)
-        };
-        let hr = if mu_r > 1 {
-            compute_helpers(
-                net,
-                receivers,
-                mu_r,
-                derive_seed(seed, 2),
-                &format!("{phase}:helpers-r"),
-            )
-        } else {
-            crate::helpers::HelperSets::trivial(receivers, n)
-        };
-        // Shared hash function: sampled at the minimum-ID sender, seed
-        // broadcast over the global network (O(log² n) bits ⇒ Õ(1) rounds;
-        // Lemma 2.3).
-        let k_ind = independence_for(n);
-        let mut hash_rng = StdRng::seed_from_u64(derive_seed(seed, 3));
-        let hash = KWiseHash::sample(k_ind, n as u64, &mut hash_rng);
-        let seed_origin = senders.iter().copied().min().unwrap_or(NodeId::new(0));
-        broadcast_words(net, seed_origin, &hash.seed_words(), &format!("{phase}:hash-seed"))?;
-        Ok(RoutingSession {
-            senders: senders.to_vec(),
-            receivers: receivers.to_vec(),
-            hs,
-            hr,
-            hash,
-            mu_s,
-            mu_r,
-        })
+        Self::establish_with_budgets(net, senders, receivers, mu_s, mu_r, seed, phase)
     }
 
     /// Helper budgets `(µ_S, µ_R)` of this session.
@@ -211,10 +183,12 @@ impl RoutingSession {
     ) -> Result<Self, HybridError> {
         assert!(mu_s >= 1 && mu_r >= 1, "budgets must be positive");
         let n = net.n();
+        // Algorithm 2 step 1: helper sets. µ = 1 means every node is its own
+        // helper — zero setup rounds.
         let hs = if mu_s > 1 {
             compute_helpers(net, senders, mu_s, derive_seed(seed, 1), &format!("{phase}:helpers-s"))
         } else {
-            crate::helpers::HelperSets::trivial(senders, n)
+            HelperSets::trivial(senders, n)
         };
         let hr = if mu_r > 1 {
             compute_helpers(
@@ -225,8 +199,11 @@ impl RoutingSession {
                 &format!("{phase}:helpers-r"),
             )
         } else {
-            crate::helpers::HelperSets::trivial(receivers, n)
+            HelperSets::trivial(receivers, n)
         };
+        // Shared hash function: sampled at the minimum-ID sender, seed
+        // broadcast over the global network (O(log² n) bits ⇒ Õ(1) rounds;
+        // Lemma 2.3).
         let k_ind = independence_for(n);
         let mut hash_rng = StdRng::seed_from_u64(derive_seed(seed, 3));
         let hash = KWiseHash::sample(k_ind, n as u64, &mut hash_rng);
@@ -255,38 +232,48 @@ impl RoutingSession {
     pub fn route<T: Clone + Send + Sync + 'static>(
         &self,
         net: &mut HybridNet<'_>,
-        tokens: Vec<Token<T>>,
+        mut tokens: Vec<Token<T>>,
         phase: &str,
     ) -> Result<RoutedTokens<T>, HybridError> {
         let start_rounds = net.rounds();
         let n = net.n();
 
-        // Validate label uniqueness (sort-based: no hashing on the hot path).
-        let mut label_scratch: Vec<TokenLabel> = tokens.iter().map(|t| t.label).collect();
-        label_scratch.sort_unstable();
-        for w in label_scratch.windows(2) {
-            if w[0] == w[1] {
-                return Err(HybridError::DuplicateTokenLabel {
-                    sender: w[0].s,
-                    receiver: w[0].r,
-                    index: w[0].i,
-                });
+        // One sort by label exposes duplicates and orders every sender's
+        // tokens, the order Algorithm 3 hands them to helpers in. Batches
+        // built in label order, the common case, cost one linear pass.
+        tokens.sort_unstable_by_key(|t| t.label);
+        if let Some(w) = tokens.windows(2).find(|w| w[0].label == w[1].label) {
+            let l = w[0].label;
+            return Err(HybridError::DuplicateTokenLabel {
+                sender: l.s,
+                receiver: l.r,
+                index: l.i,
+            });
+        }
+        // Delivery arena: receiver `r` fills `slots[starts[r]..starts[r + 1]]`
+        // from `fill[r]` on; self-addressed tokens are delivered for free.
+        let mut starts = vec![0u32; n + 1];
+        for t in &tokens {
+            starts[t.label.r.index() + 1] += 1;
+        }
+        for r in 0..n {
+            starts[r + 1] += starts[r];
+        }
+        let mut fill = starts[..n].to_vec();
+        let mut slots: Vec<Option<Token<T>>> = Vec::with_capacity(tokens.len());
+        slots.resize_with(tokens.len(), || None);
+        let mut routable = Vec::with_capacity(tokens.len());
+        for t in tokens {
+            if t.label.s == t.label.r {
+                let r = t.label.r.index();
+                slots[fill[r] as usize] = Some(t);
+                fill[r] += 1;
+            } else {
+                routable.push(t);
             }
         }
-        // Split off self-addressed tokens (delivered for free).
-        let mut delivered: Vec<Vec<Token<T>>> = (0..n).map(|_| Vec::new()).collect();
-        let (local, mut routable): (Vec<_>, Vec<_>) =
-            tokens.into_iter().partition(|t| t.label.s == t.label.r);
-        for t in local {
-            delivered[t.label.r.index()].push(t);
-        }
         if routable.is_empty() {
-            finish(net.round_threads(), &mut delivered);
-            return Ok(RoutedTokens { delivered, mu_s: self.mu_s, mu_r: self.mu_r, rounds: 0 });
-        }
-        let mut per_receiver: Vec<u32> = vec![0; n];
-        for t in &routable {
-            per_receiver[t.label.r.index()] += 1;
+            return Ok(self.delivered(slots, starts, 0));
         }
 
         // Algorithm 3: preparation — balanced round-robin assignment of
@@ -298,83 +285,38 @@ impl RoutingSession {
             net.charge_local(prep_radius as u64, &format!("{phase}:prep-detect"));
             net.charge_local(prep_radius as u64, &format!("{phase}:prep-flood"));
         }
+        let labels: Vec<TokenLabel> = routable.iter().map(|t| t.label).collect();
+        // Every token's intermediate h(s, r, i), evaluated once for both its
+        // push and its request.
+        let mids = self.hash.nodes_for(&labels);
 
-        // Sender side: token j of sender s (sorted by label) goes to helper
-        // hs[s][j mod |H_s|]. One sort by label groups the batch by sender
-        // *and* orders each sender's tokens — no per-sender map or re-sort.
-        // The labels are copied out first (they feed the receiver side), so
-        // the tokens themselves *move* to their helpers instead of being
-        // cloned — payloads are never duplicated.
-        routable.sort_by_key(|t| t.label);
-        let mut rlabels: Vec<TokenLabel> = routable.iter().map(|t| t.label).collect();
-        let mut helper_tokens: Vec<Vec<Token<T>>> = (0..n).map(|_| Vec::new()).collect();
-        {
-            let mut cur_s: Option<NodeId> = None;
-            let mut j_in_group = 0usize;
-            for t in routable {
-                if cur_s != Some(t.label.s) {
-                    cur_s = Some(t.label.s);
-                    j_in_group = 0;
-                }
-                let h = self.hs.helpers(t.label.s);
-                helper_tokens[h[j_in_group % h.len()].index()].push(t);
-                j_in_group += 1;
-            }
+        // Sender side: token j of sender s goes to helper hs[s][j mod |H_s|].
+        // Algorithm 4 phase A: sender-helpers push tokens to intermediates,
+        // whose stores fill as the tokens land.
+        let push_helpers = round_robin(&self.hs, labels.iter().map(|l| l.s));
+        let mut pushes = SendQueues::new();
+        pushes.reset(n, push_helpers.iter().map(|h| h.index()));
+        for ((t, &h), &mid) in routable.into_iter().zip(&push_helpers).zip(&mids) {
+            pushes.push(h.index(), Envelope::new(h, mid, t));
         }
+        let mut stores = IntermediateStores::new(n, &labels, &mids);
+        net.drain_queues_into(&format!("{phase}:to-intermediates"), &mut pushes, |mid, (_, t)| {
+            let slot = stores.slot(mid, t.label).expect("tokens land at their own intermediate");
+            stores.payloads[slot] = Some(t.payload);
+        })?;
+
         // Receiver side: expected label j of receiver r goes to helper
-        // hr[r][j mod |H'_r|]. Same trick: sort labels by (receiver, label).
-        rlabels.sort_unstable_by_key(|l| (l.r, *l));
-        let mut helper_requests: Vec<Vec<TokenLabel>> = (0..n).map(|_| Vec::new()).collect();
-        {
-            let mut i = 0;
-            while i < rlabels.len() {
-                let r = rlabels[i].r;
-                let h = self.hr.helpers(r);
-                let mut j = i;
-                while j < rlabels.len() && rlabels[j].r == r {
-                    helper_requests[h[(j - i) % h.len()].index()].push(rlabels[j]);
-                    j += 1;
-                }
-                i = j;
-            }
+        // hr[r][j mod |H'_r|], walking each receiver's labels in label order.
+        let (_, by_receiver) = group_by_node(n, labels.iter().map(|l| l.r));
+        let request_helpers =
+            round_robin(&self.hr, by_receiver.iter().map(|&j| labels[j as usize].r));
+        let mut requests = SendQueues::new();
+        requests.reset(n, request_helpers.iter().map(|h| h.index()));
+        for (&j, &h) in by_receiver.iter().zip(&request_helpers) {
+            requests.push(h.index(), Envelope::new(h, mids[j as usize], labels[j as usize]));
         }
-
-        // Algorithm 4 phase A: sender-helpers push tokens to intermediates.
-        let mut queues: Vec<Vec<Envelope<Token<T>>>> = (0..n).map(|_| Vec::new()).collect();
-        for (v, ts) in helper_tokens.into_iter().enumerate() {
-            for t in ts {
-                let mid = self.hash.node_for(t.label);
-                queues[v].push(Envelope::new(NodeId::new(v), mid, t));
-            }
-        }
-        let mut inboxes = net.drain_queues(&format!("{phase}:to-intermediates"), queues)?;
-        // Intermediate stores: per node a label-sorted arena split into
-        // parallel label/payload arrays (binary-search lookup on the packed
-        // label array, `take()` on answer) — the struct-of-arrays layout
-        // drops the per-entry padding of the former `(label, Option<T>)`
-        // tuples. Construction and the per-node label sorts are independent
-        // per intermediate — sharded across the round-engine worker budget.
-        let threads = net.round_threads();
-        let shard_stores = par::map_shards_mut(threads, &mut inboxes, |_, shard| {
-            shard
-                .iter_mut()
-                .map(|msgs| {
-                    let mut tokens: Vec<Token<T>> = msgs.drain(..).map(|(_, t)| t).collect();
-                    tokens.sort_unstable_by_key(|t| t.label);
-                    let mut store = IntermediateStore {
-                        labels: Vec::with_capacity(tokens.len()),
-                        payloads: Vec::with_capacity(tokens.len()),
-                    };
-                    for t in tokens {
-                        store.labels.push(t.label);
-                        store.payloads.push(Some(t.payload));
-                    }
-                    store
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut intermediate_store: Vec<IntermediateStore<T>> =
-            shard_stores.into_iter().flatten().collect();
+        let mut responses = SendQueues::new();
+        responses.reset(n, mids.iter().map(|mid| mid.index()));
 
         // Algorithm 4 phase B: receiver-helpers request labels; intermediates
         // answer in the next round. Requests and responses are interleaved,
@@ -383,63 +325,24 @@ impl RoutingSession {
         let cap = net.send_cap();
         let req_phase = format!("{phase}:requests");
         let resp_phase = format!("{phase}:responses");
-        let mut req_queues: Vec<std::collections::VecDeque<Envelope<TokenLabel>>> =
-            (0..n).map(|_| std::collections::VecDeque::new()).collect();
-        for (v, labels) in helper_requests.iter().enumerate() {
-            for &lab in labels {
-                req_queues[v].push_back(Envelope::new(
-                    NodeId::new(v),
-                    self.hash.node_for(lab),
-                    lab,
-                ));
-            }
-        }
-        let mut resp_queues: Vec<std::collections::VecDeque<Envelope<Token<T>>>> =
-            (0..n).map(|_| std::collections::VecDeque::new()).collect();
-        let mut helper_received: Vec<Vec<Token<T>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut req_outbox: Vec<Envelope<TokenLabel>> = Vec::new();
-        let mut req_flat: FlatInboxes<TokenLabel> = FlatInboxes::new();
-        let mut resp_outbox: Vec<Envelope<Token<T>>> = Vec::new();
-        let mut resp_flat: FlatInboxes<Token<T>> = FlatInboxes::new();
-        loop {
-            let any_req = req_queues.iter().any(|q| !q.is_empty());
-            let any_resp = resp_queues.iter().any(|q| !q.is_empty());
-            if !any_req && !any_resp {
-                break;
-            }
-            if any_req {
-                req_outbox.clear();
-                for q in req_queues.iter_mut() {
-                    let take = cap.min(q.len());
-                    req_outbox.extend(q.drain(..take));
-                }
+        let mut req_outbox = Vec::new();
+        let mut req_flat = FlatInboxes::new();
+        let mut resp_outbox = Vec::new();
+        let mut resp_flat = FlatInboxes::new();
+        while !(requests.is_empty() && responses.is_empty()) {
+            if !requests.is_empty() {
+                requests.take_round(cap, &mut req_outbox);
                 net.exchange_into(&req_phase, &mut req_outbox, &mut req_flat)?;
-                // Every intermediate answers its own requests — the per-node
-                // protocol step is sharded by receiver: shard `t` owns a
-                // contiguous band of intermediates (their stores and response
-                // queues), so the parallel answer step is bit-identical to
-                // the sequential `mid = 0..n` sweep, including which error
-                // surfaces first (lowest failing shard reports the lowest
-                // failing intermediate).
-                let results = par::map_shards_mut2(
-                    threads,
-                    n,
-                    (&mut intermediate_store, 1),
-                    (&mut resp_queues, 1),
-                    |start, stores, resps| answer_requests(start, stores, resps, &req_flat),
-                );
-                for r in results {
-                    r?;
-                }
+                stores.answer(&req_flat, &mut responses)?;
             }
-            if resp_queues.iter().any(|q| !q.is_empty()) {
-                resp_outbox.clear();
-                for q in resp_queues.iter_mut() {
-                    let take = cap.min(q.len());
-                    resp_outbox.extend(q.drain(..take));
-                }
+            if !responses.is_empty() {
+                responses.take_round(cap, &mut resp_outbox);
                 net.exchange_into(&resp_phase, &mut resp_outbox, &mut resp_flat)?;
-                resp_flat.drain_into(|v, (_, t)| helper_received[v].push(t));
+                resp_flat.drain_into(|_, (_, t)| {
+                    let r = t.label.r.index();
+                    slots[fill[r] as usize] = Some(t);
+                    fill[r] += 1;
+                });
             }
         }
 
@@ -449,35 +352,36 @@ impl RoutingSession {
         if self.hr.radius > 0 {
             net.charge_local((2 * self.hr.radius) as u64, &format!("{phase}:collect"));
         }
-        for ts in helper_received {
-            for t in ts {
-                delivered[t.label.r.index()].push(t);
-            }
-        }
-
         // Completeness guard.
         for r in 0..n {
-            let expected = per_receiver[r] as usize;
-            if expected == 0 {
-                continue;
-            }
-            let got = delivered[r].len();
-            let local_extra = delivered[r].iter().filter(|t| t.label.s == t.label.r).count();
-            if got - local_extra != expected {
+            let (want, got) = (starts[r + 1] - starts[r], fill[r] - starts[r]);
+            if got < want {
+                let filled = &slots[starts[r] as usize..fill[r] as usize];
+                let local = filled.iter().flatten().filter(|t| t.label.s == t.label.r).count();
                 return Err(HybridError::MissingTokens {
                     receiver: NodeId::new(r),
-                    expected,
-                    got: got - local_extra,
+                    expected: want as usize - local,
+                    got: got as usize - local,
                 });
             }
         }
-        finish(threads, &mut delivered);
-        Ok(RoutedTokens {
-            delivered,
-            mu_s: self.mu_s,
-            mu_r: self.mu_r,
-            rounds: net.rounds() - start_rounds,
-        })
+        Ok(self.delivered(slots, starts, net.rounds() - start_rounds))
+    }
+
+    /// Packs a complete delivery arena into [`RoutedTokens`], each receiver's
+    /// tokens sorted by label.
+    fn delivered<T>(
+        &self,
+        slots: Vec<Option<Token<T>>>,
+        starts: Vec<u32>,
+        rounds: u64,
+    ) -> RoutedTokens<T> {
+        let mut tokens: Vec<Token<T>> =
+            slots.into_iter().map(|t| t.expect("every slot is delivered")).collect();
+        for w in starts.windows(2) {
+            tokens[w[0] as usize..w[1] as usize].sort_unstable_by_key(|t| t.label);
+        }
+        RoutedTokens { tokens, starts, mu_s: self.mu_s, mu_r: self.mu_r, rounds }
     }
 
     /// The sender population of the session.
@@ -529,8 +433,8 @@ pub fn route_tokens<T: Clone + Send + Sync + 'static>(
         let session = RoutingSession {
             senders: senders.to_vec(),
             receivers: receivers.to_vec(),
-            hs: crate::helpers::HelperSets::trivial(senders, net.n()),
-            hr: crate::helpers::HelperSets::trivial(receivers, net.n()),
+            hs: HelperSets::trivial(senders, net.n()),
+            hr: HelperSets::trivial(receivers, net.n()),
             hash: KWiseHash::from_seed_words(vec![1], net.n() as u64),
             mu_s: 1,
             mu_r: 1,
@@ -543,56 +447,97 @@ pub fn route_tokens<T: Clone + Send + Sync + 'static>(
     Ok(routed)
 }
 
-/// Sorts every receiver's deliveries by label — independent per receiver,
-/// sharded across the round-engine worker budget.
-fn finish<T: Send>(threads: usize, delivered: &mut [Vec<Token<T>>]) {
-    par::map_shards_mut(threads, delivered, |_, shard| {
-        for v in shard.iter_mut() {
-            v.sort_by_key(|t| t.label);
+/// Algorithm 3's balanced assignment: walking `owners` (each owner's items
+/// consecutive), the `j`-th item of owner `w` goes to helper
+/// `sets[w][j mod |H_w|]`.
+fn round_robin(sets: &HelperSets, owners: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(owners.size_hint().0);
+    let mut prev = None;
+    let mut j = 0;
+    for w in owners {
+        if prev != Some(w) {
+            prev = Some(w);
+            j = 0;
         }
-    });
+        let h = sets.helpers(w);
+        out.push(h[j % h.len()]);
+        j += 1;
+    }
+    out
 }
 
-/// One intermediate node's store of tokens awaiting their requests: labels
-/// sorted ascending in one packed array, payloads parallel to them
-/// (struct-of-arrays — no per-entry tuple padding).
-struct IntermediateStore<T> {
+/// A stable counting sort of the indices `0..` of `keys` by node: the
+/// `n + 1` group boundaries and the indices in group order.
+fn group_by_node(n: usize, keys: impl Iterator<Item = NodeId> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut starts = vec![0u32; n + 1];
+    for k in keys.clone() {
+        starts[k.index() + 1] += 1;
+    }
+    for v in 0..n {
+        starts[v + 1] += starts[v];
+    }
+    let mut next = starts[..n].to_vec();
+    let mut order = vec![0u32; starts[n] as usize];
+    for (j, k) in keys.enumerate() {
+        order[next[k.index()] as usize] = j as u32;
+        next[k.index()] += 1;
+    }
+    (starts, order)
+}
+
+/// The intermediate stores of Algorithm 4 in one arena: intermediate `x`
+/// expects the labels `labels[starts[x]..starts[x + 1]]` (sorted), each with
+/// a payload slot that fills when the token lands and empties when its
+/// request is answered.
+struct IntermediateStores<T> {
+    starts: Vec<u32>,
     labels: Vec<TokenLabel>,
     payloads: Vec<Option<T>>,
 }
 
-/// One shard of the Algorithm 4 answer step: intermediates `start + i` look
-/// up each requested label in their store and enqueue the response. On a
-/// lossless channel a request always follows the token to the same
-/// hash-chosen intermediate; if the token was lost en route (fault
-/// injection), surface a structured error instead of corrupting the protocol.
-/// A *found* label whose payload was already taken is a different story —
-/// requests are never duplicated, not even by faults (loss only removes
-/// messages), so that stays a hard protocol-bug panic.
-fn answer_requests<T>(
-    start: usize,
-    stores: &mut [IntermediateStore<T>],
-    resps: &mut [std::collections::VecDeque<Envelope<Token<T>>>],
-    req_flat: &FlatInboxes<TokenLabel>,
-) -> Result<(), HybridError> {
-    for (i, (store, resp)) in stores.iter_mut().zip(resps.iter_mut()).enumerate() {
-        let mid = start + i;
-        for &(requester, lab) in req_flat.node(mid) {
-            let idx = store.labels.binary_search(&lab).map_err(|_| {
-                HybridError::InvariantViolation(format!(
-                    "request from {requester} reached intermediate {mid} \
-                         but the matching token never did (message lost?)"
-                ))
-            })?;
-            let payload = store.payloads[idx].take().expect("token answered once");
-            resp.push_back(Envelope::new(
-                NodeId::new(mid),
-                requester,
-                Token { label: lab, payload },
-            ));
-        }
+impl<T> IntermediateStores<T> {
+    /// Groups the label-ordered batch by intermediate (each group stays
+    /// label-sorted).
+    fn new(n: usize, labels: &[TokenLabel], mids: &[NodeId]) -> Self {
+        let (starts, order) = group_by_node(n, mids.iter().copied());
+        let grouped = order.iter().map(|&j| labels[j as usize]).collect();
+        let mut payloads = Vec::with_capacity(order.len());
+        payloads.resize_with(order.len(), || None);
+        IntermediateStores { starts, labels: grouped, payloads }
     }
-    Ok(())
+
+    /// Arena slot of `label` at intermediate `x`.
+    fn slot(&self, x: usize, label: TokenLabel) -> Option<usize> {
+        let (a, b) = (self.starts[x] as usize, self.starts[x + 1] as usize);
+        self.labels[a..b].binary_search(&label).ok().map(|i| a + i)
+    }
+
+    /// Algorithm 4's answer step: every intermediate, in ID order, takes the
+    /// payload of each label requested of it and queues the token back to
+    /// the requester. On a lossless channel a request always finds its token
+    /// (both went to the same hash-chosen intermediate, and requests are
+    /// never duplicated); if the token was lost en route (fault injection),
+    /// surface a structured error instead of corrupting the protocol.
+    fn answer(
+        &mut self,
+        requests: &FlatInboxes<TokenLabel>,
+        responses: &mut SendQueues<Token<T>>,
+    ) -> Result<(), HybridError> {
+        for (x, reqs) in requests.iter() {
+            for &(requester, label) in reqs {
+                let payload =
+                    self.slot(x, label).and_then(|i| self.payloads[i].take()).ok_or_else(|| {
+                        HybridError::InvariantViolation(format!(
+                            "request from {requester} reached intermediate {x} \
+                             but the matching token never did (message lost?)"
+                        ))
+                    })?;
+                responses
+                    .push(x, Envelope::new(NodeId::new(x), requester, Token { label, payload }));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -14,16 +14,17 @@
 //! ascending `(u, v)` order. This makes the result a pure function of the
 //! final edge *set*: any delta sequence reaching the same edges — in any
 //! order, through any intermediate states, in one batch or many — produces a
-//! bit-identical CSR, equal to a from-scratch [`GraphBuilder`] construction of
-//! the sorted final edge list (the canonicalization guarantee, pinned by a
-//! property test). Downstream layers lean on this: epoch fingerprints hash
+//! bit-identical CSR, equal to a from-scratch
+//! [`GraphBuilder`](crate::graph::GraphBuilder) construction of the sorted
+//! final edge list (the canonicalization guarantee, pinned by a property
+//! test). Downstream layers lean on this: epoch fingerprints hash
 //! the ordered edge list, and incremental re-preparation must be bit-identical
 //! to a cold re-prepare on the post-delta graph.
 
 use std::fmt;
 
 use crate::dist::{Distance, INFINITY};
-use crate::graph::{Edge, Graph, GraphBuilder};
+use crate::graph::{Edge, Graph};
 use crate::ids::NodeId;
 
 /// One edge mutation of a [`DeltaBatch`]. Endpoints are unordered (the graph
@@ -278,8 +279,8 @@ impl Graph {
     ///
     /// The result is a pure function of the final edge set: any delta
     /// sequence reaching the same edges yields a bit-identical graph, equal
-    /// to a from-scratch [`GraphBuilder`] construction of the sorted final
-    /// edge list.
+    /// to a from-scratch [`GraphBuilder`](crate::graph::GraphBuilder)
+    /// construction of the sorted final edge list.
     ///
     /// # Errors
     ///
@@ -347,23 +348,17 @@ impl Graph {
             .into_iter()
             .map(|((u, v), w)| Edge { u: NodeId::new(u as usize), v: NodeId::new(v as usize), w })
             .collect();
-        Ok(build_canonical(n, &final_edges))
+        // The sorted edge list is the canonical form `apply_delta` commits
+        // to; every op was checked above and the keys stay strictly
+        // increasing, so it needs no second validation pass.
+        Ok(Graph::from_valid_edges(n, final_edges))
     }
-}
-
-/// From-scratch construction of a graph from an already-sorted, already-valid
-/// edge list — the canonical form [`Graph::apply_delta`] commits to.
-fn build_canonical(n: usize, sorted_edges: &[Edge]) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for e in sorted_edges {
-        b.add_edge(e.u, e.v, e.w).expect("canonical edge list re-validates");
-    }
-    b.build().expect("post-delta graph has n >= 1 nodes")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
 
     fn node(i: usize) -> NodeId {
         NodeId::new(i)

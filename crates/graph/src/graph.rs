@@ -172,34 +172,7 @@ impl GraphBuilder {
         if self.n == 0 {
             return Err(GraphError::Empty);
         }
-        let n = self.n;
-        let mut degree = vec![0usize; n];
-        for e in &self.edges {
-            degree[e.u.index()] += 1;
-            degree[e.v.index()] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for d in &degree {
-            let last = *offsets.last().expect("offsets non-empty");
-            offsets.push(last + d);
-        }
-        let m2 = offsets[n];
-        let mut targets = vec![NodeId::new(0); m2];
-        let mut weights = vec![0u64; m2];
-        let mut cursor = offsets.clone();
-        for e in &self.edges {
-            let cu = cursor[e.u.index()];
-            targets[cu] = e.v;
-            weights[cu] = e.w;
-            cursor[e.u.index()] += 1;
-            let cv = cursor[e.v.index()];
-            targets[cv] = e.u;
-            weights[cv] = e.w;
-            cursor[e.v.index()] += 1;
-        }
-        let max_weight = self.edges.iter().map(|e| e.w).max().unwrap_or(1);
-        Ok(Graph { n, offsets, targets, weights, edges: self.edges, max_weight })
+        Ok(Graph::from_valid_edges(self.n, self.edges))
     }
 }
 
@@ -222,6 +195,40 @@ pub struct Graph {
 }
 
 impl Graph {
+    /// The CSR construction behind [`GraphBuilder::build`], for an edge list
+    /// that already holds what [`GraphBuilder::add_edge`] checks: `n ≥ 1`,
+    /// endpoints in range with the smaller one first, no self-loops or zero
+    /// weights, and each undirected edge once.
+    pub(crate) fn from_valid_edges(n: usize, edges: Vec<Edge>) -> Graph {
+        let mut degree = vec![0usize; n];
+        for e in &edges {
+            degree[e.u.index()] += 1;
+            degree[e.v.index()] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        for d in &degree {
+            let last = *offsets.last().expect("offsets non-empty");
+            offsets.push(last + d);
+        }
+        let m2 = offsets[n];
+        let mut targets = vec![NodeId::new(0); m2];
+        let mut weights = vec![0u64; m2];
+        let mut cursor = offsets.clone();
+        for e in &edges {
+            let cu = cursor[e.u.index()];
+            targets[cu] = e.v;
+            weights[cu] = e.w;
+            cursor[e.u.index()] += 1;
+            let cv = cursor[e.v.index()];
+            targets[cv] = e.u;
+            weights[cv] = e.w;
+            cursor[e.v.index()] += 1;
+        }
+        let max_weight = edges.iter().map(|e| e.w).max().unwrap_or(1);
+        Graph { n, offsets, targets, weights, edges, max_weight }
+    }
+
     /// Number of nodes `n`.
     pub fn len(&self) -> usize {
         self.n

@@ -16,16 +16,19 @@ use crate::ids::NodeId;
 /// (collect all relaxations from the current frontier, then apply them) is what
 /// guarantees a value advances exactly one hop per iteration — an in-place update
 /// loop would let improvements travel multiple hops per iteration and undercount
-/// `d_h`. Runs in `O(h · m)` worst case but only touches the `h`-hop ball.
+/// `d_h`. Runs in `O(h · m)` worst case but only touches the `h`-hop ball. The
+/// relaxation and frontier buffers are reused across iterations.
 fn limited_distances_two_array(g: &Graph, source: NodeId, h: usize) -> Vec<Distance> {
     let mut cur = vec![INFINITY; g.len()];
     cur[source.index()] = 0;
     let mut frontier = vec![source];
+    let mut next: Vec<NodeId> = Vec::new();
+    let mut updates: Vec<(NodeId, Distance)> = Vec::new();
     for _ in 0..h {
         if frontier.is_empty() {
             break;
         }
-        let mut updates: Vec<(NodeId, Distance)> = Vec::new();
+        updates.clear();
         for &v in &frontier {
             let dv = cur[v.index()];
             for (u, w) in g.neighbors(v) {
@@ -35,8 +38,8 @@ fn limited_distances_two_array(g: &Graph, source: NodeId, h: usize) -> Vec<Dista
                 }
             }
         }
-        let mut next = Vec::new();
-        for (u, nd) in updates {
+        next.clear();
+        for &(u, nd) in &updates {
             if nd < cur[u.index()] {
                 cur[u.index()] = nd;
                 next.push(u);
@@ -44,7 +47,7 @@ fn limited_distances_two_array(g: &Graph, source: NodeId, h: usize) -> Vec<Dista
         }
         next.sort_unstable();
         next.dedup();
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
     }
     cur
 }
@@ -72,11 +75,12 @@ pub fn mark_within_hops(g: &Graph, seeds: &[NodeId], h: usize) -> Vec<bool> {
             frontier.push(s);
         }
     }
+    let mut next: Vec<NodeId> = Vec::new();
     for _ in 0..h {
         if frontier.is_empty() {
             break;
         }
-        let mut next = Vec::new();
+        next.clear();
         for &v in &frontier {
             for (u, _) in g.neighbors(v) {
                 if !mark[u.index()] {
@@ -85,7 +89,7 @@ pub fn mark_within_hops(g: &Graph, seeds: &[NodeId], h: usize) -> Vec<bool> {
                 }
             }
         }
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
     }
     mark
 }

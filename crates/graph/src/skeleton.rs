@@ -16,7 +16,7 @@ use rand::Rng;
 use crate::apsp::{apsp, DistanceMatrix};
 use crate::dijkstra::dijkstra_lex;
 use crate::dist::{Distance, INFINITY};
-use crate::graph::{Graph, GraphBuilder, GraphError};
+use crate::graph::{Edge, Graph, GraphError};
 use crate::ids::NodeId;
 use crate::limited::hop_limited_distances;
 
@@ -114,7 +114,7 @@ impl Skeleton {
     ///
     /// # Errors
     ///
-    /// Propagates [`GraphError`] from skeleton-graph construction.
+    /// None: the skeleton graph is valid by construction.
     pub fn from_nodes(g: &Graph, nodes: Vec<NodeId>, h: usize) -> Result<Self, GraphError> {
         assert!(!nodes.is_empty(), "skeleton needs at least one node");
         let mut index = vec![NOT_SAMPLED; g.len()];
@@ -127,16 +127,7 @@ impl Skeleton {
         for &s in &nodes {
             dh.extend_from_slice(&hop_limited_distances(g, s, h));
         }
-        let mut b = GraphBuilder::new(nodes.len());
-        for (i, row) in dh.chunks_exact(gn).enumerate() {
-            for (j, &t) in nodes.iter().enumerate().skip(i + 1) {
-                let d = row[t.index()];
-                if d != INFINITY {
-                    b.add_edge(NodeId::new(i), NodeId::new(j), d)?;
-                }
-            }
-        }
-        let graph = b.build()?;
+        let graph = skeleton_graph(&nodes, &dh, gn);
         Ok(Skeleton { nodes, index, h, graph, dh, gn })
     }
 
@@ -240,8 +231,7 @@ impl Skeleton {
     ///
     /// # Errors
     ///
-    /// Propagates [`GraphError`] from skeleton-graph reconstruction (cannot
-    /// happen for valid inputs).
+    /// None: the skeleton graph is valid by construction.
     ///
     /// # Panics
     ///
@@ -261,16 +251,7 @@ impl Skeleton {
         }
         // Rebuild the skeleton graph from the patched table — the identical
         // construction `from_nodes` runs, so equal `d_h` ⇒ equal skeleton.
-        let mut b = GraphBuilder::new(self.nodes.len());
-        for (i, row) in dh.chunks_exact(self.gn).enumerate() {
-            for (j, &t) in self.nodes.iter().enumerate().skip(i + 1) {
-                let d = row[t.index()];
-                if d != INFINITY {
-                    b.add_edge(NodeId::new(i), NodeId::new(j), d)?;
-                }
-            }
-        }
-        let graph = b.build()?;
+        let graph = skeleton_graph(&self.nodes, &dh, self.gn);
         let repaired = Skeleton {
             nodes: self.nodes.clone(),
             index: self.index.clone(),
@@ -281,6 +262,24 @@ impl Skeleton {
         };
         Ok((repaired, patched))
     }
+}
+
+/// The skeleton graph `G_S` over `nodes` from their `d_h` rows: an edge
+/// `{i, j}` of weight `d_h(s_i, s_j)` for every pair within `h` hops. Each
+/// pair is visited once with `i < j`, and `d_h` between distinct nodes is at
+/// least the smallest (positive) edge weight, so the edge list is valid by
+/// construction.
+fn skeleton_graph(nodes: &[NodeId], dh: &[Distance], gn: usize) -> Graph {
+    let mut edges = Vec::new();
+    for (i, row) in dh.chunks_exact(gn).enumerate() {
+        for (j, &t) in nodes.iter().enumerate().skip(i + 1) {
+            let d = row[t.index()];
+            if d != INFINITY {
+                edges.push(Edge { u: NodeId::new(i), v: NodeId::new(j), w: d });
+            }
+        }
+    }
+    Graph::from_valid_edges(nodes.len(), edges)
 }
 
 /// Lemma C.1 checker: for each sampled pair `(u, v)`, takes a minimum-weight

@@ -138,6 +138,137 @@ impl<M> FlatInboxes<M> {
     }
 }
 
+/// Per-node FIFO send queues in one arena — the input of
+/// [`crate::HybridNet::drain_queues_into`], and of protocols that ship up to
+/// `cap` messages per queue per round ([`SendQueues::take_round`]).
+///
+/// Queue `v` owns the fixed slot range `starts[v]..starts[v + 1]`, sized by
+/// [`SendQueues::reset`] to every message it will ever hold: messages are
+/// appended at its tail and leave from its head. The non-empty queues are
+/// kept in an ID-ordered list, so a round visits only those.
+#[derive(Debug, Clone)]
+pub struct SendQueues<M> {
+    slots: Vec<Option<Envelope<M>>>,
+    /// `n + 1` slot-range boundaries.
+    starts: Vec<u32>,
+    /// Next slot to send, per queue.
+    heads: Vec<u32>,
+    /// Next slot to fill, per queue.
+    tails: Vec<u32>,
+    /// IDs of the non-empty queues (ascending once `sorted` holds).
+    live: Vec<u32>,
+    sorted: bool,
+}
+
+impl<M> Default for SendQueues<M> {
+    fn default() -> Self {
+        SendQueues::new()
+    }
+}
+
+impl<M> SendQueues<M> {
+    /// Creates an empty container (no queues, no capacity reserved yet).
+    pub fn new() -> Self {
+        SendQueues {
+            slots: Vec::new(),
+            starts: Vec::new(),
+            heads: Vec::new(),
+            tails: Vec::new(),
+            live: Vec::new(),
+            sorted: true,
+        }
+    }
+
+    /// Lays out `queues` empty queues, sizing queue `v` for one message per
+    /// occurrence of `v` in `keys` (a counting sort). Keeps the buffers'
+    /// capacity.
+    pub fn reset(&mut self, queues: usize, keys: impl IntoIterator<Item = usize>) {
+        self.starts.clear();
+        self.starts.resize(queues + 1, 0);
+        for k in keys {
+            self.starts[k + 1] += 1;
+        }
+        for v in 0..queues {
+            self.starts[v + 1] += self.starts[v];
+        }
+        self.heads.clear();
+        self.heads.extend_from_slice(&self.starts[..queues]);
+        self.tails.clear();
+        self.tails.extend_from_slice(&self.starts[..queues]);
+        self.slots.clear();
+        self.slots.resize_with(self.starts[queues] as usize, || None);
+        self.live.clear();
+        self.sorted = true;
+    }
+
+    /// Number of queues laid out by the last [`SendQueues::reset`].
+    pub(crate) fn num_queues(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Whether every queue is empty.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
+
+    /// Appends `e` to queue `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if queue `v` already took every message [`SendQueues::reset`]
+    /// sized it for.
+    pub fn push(&mut self, v: usize, e: Envelope<M>) {
+        let tail = self.tails[v];
+        assert!(tail < self.starts[v + 1], "send queue {v} is full");
+        if self.heads[v] == tail {
+            self.sorted &= self.live.last().is_none_or(|&last| (last as usize) < v);
+            self.live.push(v as u32);
+        }
+        self.slots[tail as usize] = Some(e);
+        self.tails[v] = tail + 1;
+    }
+
+    /// Moves up to `cap` messages from the head of every non-empty queue into
+    /// `outbox`, queue by queue in ID order.
+    pub fn take_round(&mut self, cap: usize, outbox: &mut Vec<Envelope<M>>) {
+        let Ok(()) = self.take_paced(0, cap, outbox, |_| Ok::<_, std::convert::Infallible>(true));
+    }
+
+    /// One paced round: visits the non-empty queues in ID order starting at
+    /// queue `first` and wrapping around, moving up to `cap` head messages of
+    /// each into `outbox` while `admit` accepts the head. A refused head
+    /// blocks the rest of its queue for this round (per-queue FIFO order).
+    pub(crate) fn take_paced<E>(
+        &mut self,
+        first: usize,
+        cap: usize,
+        outbox: &mut Vec<Envelope<M>>,
+        mut admit: impl FnMut(&Envelope<M>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        if !self.sorted {
+            self.live.sort_unstable();
+            self.sorted = true;
+        }
+        let SendQueues { slots, heads, tails, live, .. } = self;
+        let split = live.partition_point(|&v| (v as usize) < first);
+        for &v in live[split..].iter().chain(&live[..split]) {
+            let v = v as usize;
+            let mut taken = 0;
+            while taken < cap && heads[v] < tails[v] {
+                let slot = &mut slots[heads[v] as usize];
+                if !admit(slot.as_ref().expect("queued slot is filled"))? {
+                    break;
+                }
+                outbox.push(slot.take().expect("queued slot is filled"));
+                heads[v] += 1;
+                taken += 1;
+            }
+        }
+        live.retain(|&v| heads[v as usize] < tails[v as usize]);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,5 +329,35 @@ mod tests {
         let mut called = false;
         f.drain_into(|_, _| called = true);
         assert!(!called);
+    }
+
+    #[test]
+    fn send_queues_are_fifo_per_queue_in_id_order() {
+        let mut q = SendQueues::new();
+        q.reset(4, [2, 0, 2, 2, 3]);
+        assert_eq!(q.num_queues(), 4);
+        assert!(q.is_empty());
+        let env = |v: usize, m: u32| Envelope::new(NodeId::new(v), NodeId::new(0), m);
+        for (v, m) in [(3, 30), (2, 20), (2, 21), (0, 1)] {
+            q.push(v, env(v, m));
+        }
+        let mut out = Vec::new();
+        q.take_round(1, &mut out);
+        let msgs: Vec<u32> = out.drain(..).map(|e| e.msg).collect();
+        assert_eq!(msgs, vec![1, 20, 30]);
+        q.push(2, env(2, 22));
+        q.take_round(5, &mut out);
+        let msgs: Vec<u32> = out.drain(..).map(|e| e.msg).collect();
+        assert_eq!(msgs, vec![21, 22]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "send queue 1 is full")]
+    fn send_queue_overflow_panics() {
+        let mut q = SendQueues::new();
+        q.reset(2, [1]);
+        q.push(1, Envelope::new(NodeId::new(1), NodeId::new(0), ()));
+        q.push(1, Envelope::new(NodeId::new(1), NodeId::new(0), ()));
     }
 }

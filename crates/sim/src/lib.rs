@@ -62,7 +62,7 @@ pub mod par;
 pub mod rng;
 pub mod trace;
 
-pub use channel::{Envelope, FlatInboxes, Inboxes};
+pub use channel::{Envelope, FlatInboxes, Inboxes, SendQueues};
 pub use config::{HybridConfig, OverflowPolicy};
 pub use fault::{Crash, FaultPlan};
 pub use metrics::{Metrics, PhaseStats};

@@ -17,7 +17,7 @@ use std::fmt;
 
 use hybrid_graph::{Graph, NodeId};
 
-use crate::channel::{Envelope, FlatInboxes, Inboxes};
+use crate::channel::{Envelope, FlatInboxes, Inboxes, SendQueues};
 use crate::config::{HybridConfig, OverflowPolicy};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::Metrics;
@@ -1204,67 +1204,82 @@ impl<'g> HybridNet<'g> {
         phase: &str,
         queues: Vec<Vec<Envelope<M>>>,
     ) -> Result<Inboxes<M>, SimError> {
+        let mut flat = SendQueues::new();
+        let keys = queues.iter().enumerate().flat_map(|(v, q)| std::iter::repeat_n(v, q.len()));
+        flat.reset(queues.len(), keys);
+        for (v, q) in queues.into_iter().enumerate() {
+            for e in q {
+                flat.push(v, e);
+            }
+        }
+        let mut all: Inboxes<M> = (0..self.graph.len()).map(|_| Vec::new()).collect();
+        self.drain_queues_into(phase, &mut flat, |dst, pair| all[dst].push(pair))?;
+        Ok(all)
+    }
+
+    /// The arena form of [`HybridNet::drain_queues`]: drains `queues` under
+    /// the same pacing, handing every delivered `(sender, message)` pair to
+    /// `deliver(destination, pair)` in delivery order instead of collecting
+    /// nested inboxes. Queue `v` is the send queue of node `v`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from the underlying exchanges.
+    pub fn drain_queues_into<M: Send + Sync + 'static>(
+        &mut self,
+        phase: &str,
+        queues: &mut SendQueues<M>,
+        mut deliver: impl FnMut(usize, (NodeId, M)),
+    ) -> Result<(), SimError> {
         // The pacing scratch (per-round outbox + inbox arena) is pooled on
         // the net per payload type, so repeated drains — e.g. one per
         // simulated CLIQUE round — reuse their buffers across calls instead
         // of reallocating per invocation.
         let mut scratch = self.drain_pool.take::<M>();
-        let result = self.drain_queues_inner(phase, queues, &mut scratch);
+        let result = self.drain_paced(phase, queues, &mut scratch, &mut deliver);
         self.drain_pool.put(scratch);
         result
     }
 
-    fn drain_queues_inner<M: Send + Sync>(
+    fn drain_paced<M: Send + Sync>(
         &mut self,
         phase: &str,
-        mut queues: Vec<Vec<Envelope<M>>>,
+        queues: &mut SendQueues<M>,
         scratch: &mut DrainScratch<M>,
-    ) -> Result<Inboxes<M>, SimError> {
+        deliver: &mut impl FnMut(usize, (NodeId, M)),
+    ) -> Result<(), SimError> {
         let n = self.graph.len();
-        let mut all: Inboxes<M> = (0..n).map(|_| Vec::new()).collect();
         let DrainScratch { outbox, flat } = scratch;
         outbox.clear();
         flat.clear();
         let cap = self.send_cap();
         let recv_cap = self.recv_cap();
         let pace_receivers = self.config.overflow == OverflowPolicy::Stretch;
-        // Reverse once so FIFO pops are O(1) `pop()`s from the back.
-        for q in queues.iter_mut() {
-            q.reverse();
-        }
-        let nq = queues.len();
+        let nq = queues.num_queues();
         let mut start_q = 0usize;
         loop {
             outbox.clear();
-            {
-                let drain_recv = &mut self.scratch.drain_recv;
-                drain_recv[..n].fill(0);
-                for k in 0..nq {
-                    let q = &mut queues[(start_q + k) % nq];
-                    let mut taken = 0usize;
-                    while taken < cap {
-                        let Some(head) = q.last() else { break };
-                        let d = head.dst.index();
-                        if d >= n {
-                            return Err(SimError::AddressOutOfRange { node: head.dst, n });
-                        }
-                        if pace_receivers && drain_recv[d] as usize >= recv_cap {
-                            break;
-                        }
-                        drain_recv[d] += 1;
-                        outbox.push(q.pop().expect("head exists"));
-                        taken += 1;
-                    }
+            let drain_recv = &mut self.scratch.drain_recv;
+            drain_recv[..n].fill(0);
+            queues.take_paced(start_q, cap, outbox, |head| {
+                let d = head.dst.index();
+                if d >= n {
+                    return Err(SimError::AddressOutOfRange { node: head.dst, n });
                 }
-            }
+                if pace_receivers && drain_recv[d] as usize >= recv_cap {
+                    return Ok(false);
+                }
+                drain_recv[d] += 1;
+                Ok(true)
+            })?;
             if outbox.is_empty() {
                 break;
             }
             start_q = (start_q + 1) % nq.max(1);
             self.exchange_into(phase, outbox, flat)?;
-            flat.drain_into(|dst, pair| all[dst].push(pair));
+            flat.drain_into(&mut *deliver);
         }
-        Ok(all)
+        Ok(())
     }
 }
 

@@ -5,11 +5,12 @@
 
 use hybrid_shortest_paths::graph::apsp::apsp;
 use hybrid_shortest_paths::graph::bfs::unweighted_diameter;
-use hybrid_shortest_paths::graph::dijkstra::dijkstra;
+use hybrid_shortest_paths::graph::dijkstra::{dijkstra, dijkstra_lex};
 use hybrid_shortest_paths::graph::generators::{
-    barbell, caterpillar, erdos_renyi_connected, grid, random_geometric_connected, random_tree,
+    barbell, caterpillar, cycle, erdos_renyi_connected, grid, random_geometric_connected,
+    random_tree,
 };
-use hybrid_shortest_paths::graph::{Distance, Graph, NodeId};
+use hybrid_shortest_paths::graph::{Distance, Graph, NodeId, INFINITY};
 use hybrid_shortest_paths::sim::{HybridConfig, HybridNet};
 use hybrid_shortest_paths::{
     solve, ApspVariant, DiameterCorollary, Guarantee, KsspCorollary, Query, SsspVariant,
@@ -44,6 +45,38 @@ fn apsp_exact_across_families() {
             }
         }
     }
+}
+
+/// Theorem 1.1 where only the skeleton route can answer: on a 400-cycle the
+/// hop diameter (200) exceeds the skeleton budget h = ξ·√n·ln n = 180, so
+/// every pair more than 180 hops apart is unreachable in each node's h-hop-
+/// gated local row and must come from the routed connector labels
+/// (`near ⊗ labels`). A wrong routed payload, or a skipped skeleton merge,
+/// breaks the matrix.
+#[test]
+fn apsp_long_cycle_is_decided_by_the_routed_labels() {
+    let g = cycle(400, 3).unwrap();
+    let query = Query::apsp().xi(1.5).build().unwrap();
+    let mut net = HybridNet::new(&g, HybridConfig::default());
+    let report = solve(&mut net, &query, 5).unwrap();
+    assert_eq!(report.h, 180);
+    assert_eq!(report.rounds, 594);
+    let out = report.distances().expect("matrix answer");
+    let exact = apsp(&g);
+    let h = report.h as Distance;
+    let mut routed_only = 0usize;
+    for u in g.nodes() {
+        let (dist, hops) = dijkstra_lex(&g, u);
+        for v in g.nodes() {
+            assert_eq!(out.get(u, v), exact.get(u, v), "pair ({u}, {v})");
+            let gated = if hops[v.index()] <= h { dist[v.index()] } else { INFINITY };
+            if out.get(u, v) < gated {
+                routed_only += 1;
+            }
+        }
+    }
+    // Per node: the 19 hop distances 181..=199 twice each, plus the antipode.
+    assert_eq!(routed_only, 400 * 39);
 }
 
 #[test]
