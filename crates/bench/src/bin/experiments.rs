@@ -1,31 +1,28 @@
-//! Experiment runner: regenerates every table of EXPERIMENTS.md, drives the
-//! scenario registry, and emits the machine-readable `BENCH_*.json` files.
+//! Experiment runner: prints the paper's tables (E1–E16) and drives the
+//! scenario registry's smoke matrix.
 //!
 //! ```sh
 //! cargo run --release -p hybrid-bench --bin experiments -- all
 //! cargo run --release -p hybrid-bench --bin experiments -- e2 e5 e16
 //! cargo run --release -p hybrid-bench --bin experiments -- --small all
 //! cargo run --release -p hybrid-bench --bin experiments -- --large e2 e4
-//! cargo run --release -p hybrid-bench --bin experiments -- --json
 //! cargo run --release -p hybrid-bench --bin experiments -- --list
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke --via-session
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke --filter faulty
 //! cargo run --release -p hybrid-bench --bin experiments -- --trace traces/
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke --trace traces/
-//! cargo run --release -p hybrid-bench --bin experiments -- --serve
-//! cargo run --release -p hybrid-bench --bin experiments -- --serve --smoke
 //! ```
 //!
+//! * `e1` … `e16` print those tables; `all` (the default) prints every one.
+//!   An unknown experiment id or `--` flag exits with status 2.
 //! * `--list` prints the scenario registry (names, tags, families, faults).
 //! * `--smoke` runs the full registry (or the `--filter <tag>` subset) at
-//!   tiny `n` with golden verification, then the chaos recovery sweep
-//!   (every `chaos-*` scenario next to its fault-free twin), then the churn
-//!   repair sweep (patch-vs-full speedup, damage-threshold sweep, and the
-//!   churn+chaos serving loop, gated on ≥ 2× incremental speedup and zero
-//!   bit-identity mismatches), and exits non-zero on any `fail` — the CI
-//!   gate. With `--json` it also writes `BENCH_scenarios.json`,
-//!   `BENCH_chaos.json`, and `BENCH_churn.json`.
+//!   tiny `n` with golden verification, then the churn repair sweep
+//!   (patch-vs-full speedup, damage-threshold sweep, and the churn+chaos
+//!   serving loop, gated on ≥ 2× incremental speedup, threshold-exact
+//!   fallback and zero bit-identity mismatches), and exits non-zero on any
+//!   failure — the CI gate.
 //! * `--via-session` makes `--smoke` execute every suite through a serving
 //!   `Session` instead of a cold `solve` — the CI guard that the session
 //!   path answers bit-identically under golden verification.
@@ -36,31 +33,67 @@
 //!   Alone it traces the E2 workload and one `chaos-*` scenario; with
 //!   `--smoke` it traces every scenario in the matrix, and a trace that
 //!   fails to reconcile against the metrics counters fails the run.
-//! * `--large` extends the E2/E4 sweeps (and the `--json` APSP sweep) to
-//!   n = 3200 with sampled verification.
-//! * `--json` times the E2 APSP workload (Theorem 1.1, the SODA'20 baseline,
-//!   and the sequential reference) and writes `BENCH_apsp.json`, plus the
-//!   mixed-batch serving sweep into `BENCH_throughput.json`, the chaos
-//!   recovery sweep into `BENCH_chaos.json`, and the churn repair sweep
-//!   into `BENCH_churn.json`.
-//! * `--serve` drives the multi-tenant broker with the closed-loop load
-//!   generator over registry workloads — including the `serve-chaos`
-//!   workload with faulty, crashing, and panicking tenants — and writes
-//!   `BENCH_serving.json` (schema `hybrid-bench/serving-v2`: latency
-//!   percentiles, saturation qps, shed rate, cache counters, plus retry,
-//!   deadline, breaker, quarantine, and degradation counters). With
-//!   `--smoke` it runs the short small-scale loop and exits non-zero on any
-//!   bit-identity mismatch (which is also how corruption that slipped past
-//!   the checksums would surface), request-accounting hole, breaker
-//!   accounting leak, missing degraded service under chaos, or schema
-//!   violation — the serving CI gate.
+//! * `--large` extends the E2/E4 sweeps to n = 3200 with sampled
+//!   verification.
 
 use hybrid_bench::experiments as ex;
-use hybrid_bench::{json, Scale};
+use hybrid_bench::Scale;
 use hybrid_scenarios::registry;
 
+/// Prints `msg` and exits with status 2: the input was not understood.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn main() {
+    type Runner = fn(Scale) -> hybrid_bench::table::Table;
+    let runs: [(&str, Runner); 16] = [
+        ("e1", ex::e1_token_routing),
+        ("e2", ex::e2_apsp),
+        ("e3", ex::e3_kssp),
+        ("e4", ex::e4_sssp),
+        ("e5", ex::e5_diameter),
+        ("e6", ex::e6_kssp_lower_bound),
+        ("e7", ex::e7_diameter_lower_bound),
+        ("e8", ex::e8_helper_sets),
+        ("e9", ex::e9_ruling_sets),
+        ("e10", ex::e10_skeletons),
+        ("e11", ex::e11_congestion),
+        ("e12", ex::e12_clique_sim),
+        ("e13", ex::e13_xi_ablation),
+        ("e14", ex::e14_mu_ablation),
+        ("e15", ex::e15_gamma_ablation),
+        ("e16", ex::e16_scenarios),
+    ];
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // One pass: `--filter` and `--trace` consume the following value, the
+    // other flags stand alone, and everything else is an experiment id.
+    let mut filter: Option<String> = None;
+    let mut filter_flag = false;
+    let mut trace_dir: Option<std::path::PathBuf> = None;
+    let mut trace_flag = false;
+    let mut wanted: Vec<&str> = Vec::new();
+    let mut iter = args.iter();
+    while let Some(a) = iter.next() {
+        match a.as_str() {
+            "--filter" => {
+                filter_flag = true;
+                filter = iter.next().cloned();
+            }
+            "--trace" => {
+                trace_flag = true;
+                trace_dir = iter.next().map(std::path::PathBuf::from);
+            }
+            "--small" | "--large" | "--list" | "--smoke" | "--via-session" => {}
+            flag if flag.starts_with("--") => usage_error(&format!(
+                "unknown flag {flag} (flags: --small, --large, --list, --smoke, --via-session, \
+                 --filter <tag>, --trace <dir>)"
+            )),
+            id if id == "all" || runs.iter().any(|(r, _)| *r == id) => wanted.push(id),
+            id => usage_error(&format!("unknown experiment id {id:?} (e1 … e16, or all)")),
+        }
+    }
     let scale = if args.iter().any(|a| a == "--small") {
         Scale::Small
     } else if args.iter().any(|a| a == "--large") {
@@ -68,7 +101,6 @@ fn main() {
     } else {
         Scale::Full
     };
-    let emit_json = args.iter().any(|a| a == "--json");
     let list = args.iter().any(|a| a == "--list");
     let smoke = args.iter().any(|a| a == "--smoke");
     let engine = if args.iter().any(|a| a == "--via-session") {
@@ -79,187 +111,28 @@ fn main() {
     // Like a dangling --filter: a flag no code path will consult must error,
     // not silently run the Fresh engine.
     if engine == hybrid_scenarios::Engine::Session && !smoke {
-        eprintln!("--via-session applies to --smoke runs only; nothing here consults it");
-        std::process::exit(2);
-    }
-    // One pass: `--filter` and `--trace` consume the following value,
-    // everything else without a `--` prefix is an experiment id.
-    let mut filter: Option<String> = None;
-    let mut filter_flag = false;
-    let mut trace_dir: Option<std::path::PathBuf> = None;
-    let mut trace_flag = false;
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--filter" {
-            filter_flag = true;
-            filter = iter.next().map(|s| s.to_string());
-        } else if a == "--trace" {
-            trace_flag = true;
-            trace_dir = iter.next().map(std::path::PathBuf::from);
-        } else if !a.starts_with("--") {
-            wanted.push(a.as_str());
-        }
+        usage_error("--via-session applies to --smoke runs only; nothing here consults it");
     }
     if filter_flag && filter.is_none() {
-        eprintln!("--filter requires a tag (see --list for the registry's tags)");
-        std::process::exit(2);
+        usage_error("--filter requires a tag (see --list for the registry's tags)");
     }
     if trace_flag && trace_dir.is_none() {
-        eprintln!("--trace requires an output directory for the trace/rollup files");
-        std::process::exit(2);
+        usage_error("--trace requires an output directory for the trace/rollup files");
     }
     // `--trace` without `--smoke` is its own mode (trace the E2 workload plus
-    // one chaos scenario, then exit); experiment ids or `--json` alongside it
-    // would be silently ignored, so they must error like any unconsulted flag.
-    if trace_dir.is_some() && !smoke && (!wanted.is_empty() || emit_json || list) {
-        eprintln!("--trace combines only with --smoke; alone it traces the E2 workload and one chaos scenario");
-        std::process::exit(2);
+    // one chaos scenario, then exit); experiment ids alongside it would be
+    // silently ignored, so they must error like any unconsulted flag.
+    if trace_dir.is_some() && !smoke && (!wanted.is_empty() || list) {
+        usage_error(
+            "--trace combines only with --smoke; alone it traces the E2 workload and one chaos \
+             scenario",
+        );
     }
     // A filter that no code path will consult must error, not silently gate
     // nothing: it applies to --smoke and to the e16 scenario matrix.
-    let runs_e16 =
-        wanted.contains(&"e16") || wanted.contains(&"all") || (wanted.is_empty() && !emit_json);
+    let runs_e16 = wanted.contains(&"e16") || wanted.contains(&"all") || wanted.is_empty();
     if filter.is_some() && !smoke && !list && !runs_e16 {
-        eprintln!("--filter applies to --smoke and e16 runs only; nothing here consults it");
-        std::process::exit(2);
-    }
-
-    // `--serve`: the closed-loop broker sweep is its own mode; every flag it
-    // doesn't consult (experiment ids, --trace, --filter, --via-session,
-    // --list, --json — it always writes its JSON) must error, not silently
-    // do nothing.
-    if args.iter().any(|a| a == "--serve") {
-        if !wanted.is_empty()
-            || trace_flag
-            || filter_flag
-            || list
-            || emit_json
-            || engine != hybrid_scenarios::Engine::Fresh
-        {
-            eprintln!(
-                "--serve combines only with --small/--large/--smoke; it always writes \
-                 BENCH_serving.json"
-            );
-            std::process::exit(2);
-        }
-        let serve_scale = if smoke { Scale::Small } else { scale };
-        let scale_name = match serve_scale {
-            Scale::Small => "small",
-            Scale::Full => "full",
-            Scale::Large => "large",
-        };
-        eprintln!("running closed-loop serving sweep for BENCH_serving.json...");
-        let records = ex::bench_serving_records(serve_scale);
-        let doc = json::render_with_schema(json::SCHEMA_SERVING, scale_name, &records);
-        std::fs::write("BENCH_serving.json", &doc).expect("write BENCH_serving.json");
-        eprintln!("wrote BENCH_serving.json:");
-        print!("{doc}");
-        ex::serving_table(&records).print();
-        // The serving gate: bit-identity must hold for every response (a
-        // corrupted payload that slipped past the reliable layer's checksums
-        // would land here as a mismatch), every request must be accounted
-        // (served, shed, deadline-shed, breaker-rejected, or failed — no
-        // silent loss), breaker counters must be self-consistent, the chaos
-        // workload must actually exercise the degradation path, and the
-        // emitted document must carry every serving-v2 field.
-        let mut violations = Vec::new();
-        for r in &records {
-            let s = r.serving.as_ref().expect("serving record");
-            let chaos = r.bench == "serve-chaos";
-            if s.mismatches > 0 {
-                violations.push(format!(
-                    "{}: {} bit-identity mismatch(es) — possible undetected corruption",
-                    r.bench, s.mismatches
-                ));
-            }
-            // Only the chaos workload runs a deliberately panicking tenant;
-            // its contained panics must be matched by quarantined sessions.
-            if s.failed > 0 && !chaos {
-                violations
-                    .push(format!("{}: {} request(s) failed unstructured", r.bench, s.failed));
-            }
-            if chaos && s.failed > 0 && s.quarantined == 0 {
-                violations.push(format!(
-                    "{}: {} contained failure(s) but no session was quarantined",
-                    r.bench, s.failed
-                ));
-            }
-            let accounted = s.served + s.shed + s.deadline_shed + s.breaker_rejected + s.failed;
-            if accounted != s.issued {
-                violations.push(format!(
-                    "{}: issued {} but accounted {} — silent request loss",
-                    r.bench, s.issued, accounted
-                ));
-            }
-            if s.verified < s.served {
-                violations.push(format!(
-                    "{}: only {} of {} served responses verified against a cold solve",
-                    r.bench, s.verified, s.served
-                ));
-            }
-            // Breaker accounting leaks: a probe can only follow an open, and
-            // a rejection can only come from an open breaker. Healthy
-            // workloads register no breaker tenants, so any activity there
-            // is a leak outright.
-            if s.breaker_probes > s.breaker_opens {
-                violations.push(format!(
-                    "{}: {} breaker probe(s) but only {} open(s)",
-                    r.bench, s.breaker_probes, s.breaker_opens
-                ));
-            }
-            if s.breaker_rejected > 0 && s.breaker_opens == 0 {
-                violations.push(format!(
-                    "{}: {} breaker rejection(s) without any breaker open",
-                    r.bench, s.breaker_rejected
-                ));
-            }
-            if !chaos && (s.breaker_opens > 0 || s.quarantined > 0 || s.degraded_served > 0) {
-                violations.push(format!(
-                    "{}: healthy workload leaked chaos counters (opens={} quarantined={} \
-                     degraded={})",
-                    r.bench, s.breaker_opens, s.quarantined, s.degraded_served
-                ));
-            }
-            if chaos && s.degraded_served == 0 {
-                violations.push(format!(
-                    "{}: the crashing tenant never produced an explicitly degraded answer",
-                    r.bench
-                ));
-            }
-        }
-        for field in [
-            "\"schema\": \"hybrid-bench/serving-v2\"",
-            "\"p50_ns\"",
-            "\"p95_ns\"",
-            "\"p99_ns\"",
-            "\"qps\"",
-            "\"shed_rate\"",
-            "\"cache_hits\"",
-            "\"cache_evicted\"",
-            "\"retries\"",
-            "\"deadline_shed\"",
-            "\"breaker_rejected\"",
-            "\"breaker_opens\"",
-            "\"breaker_probes\"",
-            "\"quarantined\"",
-            "\"degraded_served\"",
-        ] {
-            if !doc.contains(field) {
-                violations.push(format!("BENCH_serving.json schema violation: missing {field}"));
-            }
-        }
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("serving gate FAILED: {v}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!(
-            "serving sweep healthy: every response bit-identical to its cold solve, \
-             every request accounted, chaos contained"
-        );
-        return;
+        usage_error("--filter applies to --smoke and e16 runs only; nothing here consults it");
     }
 
     if list {
@@ -292,40 +165,25 @@ fn main() {
         );
         let reports = ex::scenario_reports_with(Scale::Small, filter.as_deref(), engine);
         if reports.is_empty() {
-            eprintln!("no scenarios match filter {:?}", filter);
-            std::process::exit(2);
+            usage_error(&format!("no scenarios match filter {filter:?}"));
         }
         let failures = reports.iter().filter(|r| !r.passed()).count();
         ex::scenario_table(&reports).print();
-        if emit_json {
-            let doc = json::render_scenarios("small", &reports);
-            std::fs::write("BENCH_scenarios.json", &doc).expect("write BENCH_scenarios.json");
-            eprintln!("wrote BENCH_scenarios.json");
-        }
-        // The chaos recovery sweep rides every smoke run: each chaos-*
-        // scenario next to its fault-free twin, gated on the must-recover
-        // verdict like the matrix above.
-        eprintln!("running chaos recovery sweep...");
-        let chaos = ex::bench_chaos_records(Scale::Small);
-        let chaos_failures = chaos.iter().filter(|r| r.verdict.as_deref() != Some("pass")).count();
-        if emit_json {
-            let doc = json::render_with_schema(json::SCHEMA_CHAOS, "small", &chaos);
-            std::fs::write("BENCH_chaos.json", &doc).expect("write BENCH_chaos.json");
-            eprintln!("wrote BENCH_chaos.json");
-        }
-        // The churn repair sweep rides every smoke run too: patch-vs-full
-        // wall clock, the damage-threshold sweep, and the churn+chaos
-        // serving loop, gated by `churn_gate_violations`.
+        // The churn repair sweep rides every smoke run: patch-vs-full wall
+        // clock, the damage-threshold sweep, and the churn+chaos serving
+        // loop, gated by `churn_gate_violations`.
         eprintln!("running churn repair sweep...");
-        let churn = ex::bench_churn_records(Scale::Small);
+        let churn = ex::churn_sweep();
+        eprintln!(
+            "churn repair at n = {}: patch {:.2} ms, full {:.2} ms, speedup {:.2}×",
+            churn.n,
+            churn.patch.wall_ns as f64 / 1e6,
+            churn.full.wall_ns as f64 / 1e6,
+            churn.speedup()
+        );
         let churn_violations = ex::churn_gate_violations(&churn);
         for v in &churn_violations {
             eprintln!("churn gate FAILED: {v}");
-        }
-        if emit_json {
-            let doc = json::render_with_schema(json::SCHEMA_CHURN, "small", &churn);
-            std::fs::write("BENCH_churn.json", &doc).expect("write BENCH_churn.json");
-            eprintln!("wrote BENCH_churn.json");
         }
         // `--smoke --trace <dir>`: one traced run per scenario in the matrix,
         // exporting the Chrome trace + rollup; a reconciliation mismatch
@@ -340,17 +198,15 @@ fn main() {
         } else {
             0
         };
-        if failures + chaos_failures + churn_violations.len() + trace_failures > 0 {
+        if failures + churn_violations.len() + trace_failures > 0 {
             eprintln!(
-                "{failures} scenario(s), {chaos_failures} chaos sweep run(s), {} churn gate \
-                 violation(s), and {trace_failures} traced run(s) FAILED verification",
+                "{failures} scenario(s), {} churn gate violation(s), and {trace_failures} traced \
+                 run(s) FAILED verification",
                 churn_violations.len()
             );
             std::process::exit(1);
         }
-        eprintln!(
-            "all scenarios passed golden verification (chaos recovery and churn repair included)"
-        );
+        eprintln!("all scenarios passed golden verification (churn repair gate included)");
         return;
     }
 
@@ -370,28 +226,7 @@ fn main() {
         return;
     }
 
-    type Runner = fn(Scale) -> hybrid_bench::table::Table;
-    // `--json` alone means "just the JSON sweep"; any experiment id (or `all`)
-    // still runs the tables.
-    let all = wanted.contains(&"all") || (wanted.is_empty() && !emit_json);
-    let runs: Vec<(&str, Runner)> = vec![
-        ("e1", ex::e1_token_routing),
-        ("e2", ex::e2_apsp),
-        ("e3", ex::e3_kssp),
-        ("e4", ex::e4_sssp),
-        ("e5", ex::e5_diameter),
-        ("e6", ex::e6_kssp_lower_bound),
-        ("e7", ex::e7_diameter_lower_bound),
-        ("e8", ex::e8_helper_sets),
-        ("e9", ex::e9_ruling_sets),
-        ("e10", ex::e10_skeletons),
-        ("e11", ex::e11_congestion),
-        ("e12", ex::e12_clique_sim),
-        ("e13", ex::e13_xi_ablation),
-        ("e14", ex::e14_mu_ablation),
-        ("e15", ex::e15_gamma_ablation),
-        ("e16", ex::e16_scenarios),
-    ];
+    let all = wanted.is_empty() || wanted.contains(&"all");
     for (id, f) in runs {
         if all || wanted.contains(&id) {
             eprintln!("running {id}...");
@@ -401,40 +236,5 @@ fn main() {
                 f(scale).print();
             }
         }
-    }
-    if emit_json {
-        let scale_name = match scale {
-            Scale::Small => "small",
-            Scale::Full => "full",
-            Scale::Large => "large",
-        };
-        eprintln!("running APSP wall-clock sweep for BENCH_apsp.json...");
-        let records = ex::bench_apsp_records(scale);
-        let doc = json::render(scale_name, &records);
-        let path = "BENCH_apsp.json";
-        std::fs::write(path, &doc).expect("write BENCH_apsp.json");
-        eprintln!("wrote {path}:");
-        print!("{doc}");
-        eprintln!("running mixed-batch serving sweep for BENCH_throughput.json...");
-        let records = ex::bench_throughput_records(scale);
-        let doc = json::render_with_schema(json::SCHEMA_THROUGHPUT, scale_name, &records);
-        let path = "BENCH_throughput.json";
-        std::fs::write(path, &doc).expect("write BENCH_throughput.json");
-        eprintln!("wrote {path}:");
-        print!("{doc}");
-        eprintln!("running chaos recovery sweep for BENCH_chaos.json...");
-        let records = ex::bench_chaos_records(scale);
-        let doc = json::render_with_schema(json::SCHEMA_CHAOS, scale_name, &records);
-        let path = "BENCH_chaos.json";
-        std::fs::write(path, &doc).expect("write BENCH_chaos.json");
-        eprintln!("wrote {path}:");
-        print!("{doc}");
-        eprintln!("running churn repair sweep for BENCH_churn.json...");
-        let records = ex::bench_churn_records(scale);
-        let doc = json::render_with_schema(json::SCHEMA_CHURN, scale_name, &records);
-        let path = "BENCH_churn.json";
-        std::fs::write(path, &doc).expect("write BENCH_churn.json");
-        eprintln!("wrote {path}:");
-        print!("{doc}");
     }
 }

@@ -1,10 +1,12 @@
-//! The experiment runners E1–E16 (DESIGN.md §5). Each returns a printable
-//! table; EXPERIMENTS.md records the output of the `experiments` binary.
+//! The experiment runners E1–E16, one per theorem or ablation of the paper.
+//! Each returns a printable table; the `experiments` binary prints them.
+//! Beside them live the scenario smoke matrix and the churn repair sweep
+//! that every `experiments --smoke` run gates on.
 //!
 //! Workload construction is delegated to the scenario engine
 //! (`hybrid_scenarios`): the shared helpers in
-//! [`hybrid_scenarios::workloads`] and, for the scenario matrix (E16) and the
-//! perf sweep, the named registry entries themselves.
+//! [`hybrid_scenarios::workloads`] and, for the scenario matrix (E16), the
+//! named registry entries themselves.
 
 use clique_sim::declared::DeclaredKssp;
 use clique_sim::{Beta, SourceCapacity};
@@ -16,15 +18,18 @@ use hybrid_core::solver::{
     solve, ApspVariant, DiameterCorollary, KsspCorollary, Query, SsspVariant,
 };
 use hybrid_core::token_routing::{mu_for, route_tokens, RoutingRates, Token};
+use hybrid_core::RepairPath;
 use hybrid_graph::apsp::apsp;
 use hybrid_graph::dijkstra::shortest_path_diameter;
 use hybrid_graph::generators::{cycle, grid, path_with_heavy_hub};
 use hybrid_graph::skeleton::{count_coverage_violations, count_distance_violations};
-use hybrid_graph::{Distance, Graph, NodeId, INFINITY};
+use hybrid_graph::{DeltaBatch, Distance, Graph, GraphDelta, NodeId, INFINITY};
 use hybrid_scenarios::workloads::{er, random_nodes};
 use hybrid_scenarios::{
-    registry, run_scenario_traced, run_scenario_with, run_scenarios_with, Engine, FaultPlan,
-    Scenario, ScenarioReport,
+    registry, run_scenario_traced, run_scenarios_with, Engine, Scenario, ScenarioReport,
+};
+use hybrid_serve::{
+    run_load, Broker, BrokerConfig, GraphCatalog, LoadReport, LoadSpec, LoadUpdate, TenantConfig,
 };
 use hybrid_sim::{HybridConfig, HybridNet};
 use rand::rngs::StdRng;
@@ -32,14 +37,14 @@ use rand::{Rng, SeedableRng};
 
 use crate::table::{f3, Table};
 
-/// Experiment scale: `Small` for CI/benches, `Full` for the recorded tables,
+/// Experiment scale: `Small` for CI-sized runs, `Full` for the default tables,
 /// `Large` for the n=3200 sweeps (compact-layout stress runs; correctness is
 /// sample-verified there to keep one distance matrix in memory at a time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Fast sizes for benches and smoke runs.
+    /// Fast sizes for CI-sized runs (`experiments --small`).
     Small,
-    /// The sizes recorded in EXPERIMENTS.md.
+    /// The default table sizes.
     Full,
     /// The extended n≤3200 sweeps (`experiments --large`).
     Large,
@@ -62,11 +67,10 @@ impl Scale {
     }
 }
 
-/// The E2 workload graph, built from the registry's `e2-er` scenario so the
-/// experiment tables and the perf sweep benchmark the exact same instance —
-/// which is also bit-identical to the pre-registry `er(n, 12.0, 4, 3)`
-/// instances recorded in `BENCH_apsp.json`, keeping the perf trajectory
-/// comparable across PRs.
+/// The E2 workload graph, built from the registry's `e2-er` scenario, so the
+/// E2 table and perfbench's apsp-cold workload solve the same instance. It is
+/// bit-identical to the `er(n, 12.0, 4, 3)` instances recorded in the frozen
+/// `BENCH_apsp.json` (pinned in `hybrid_scenarios::model`'s tests).
 fn e2_graph(n: usize) -> Graph {
     hybrid_scenarios::find("e2-er").expect("registered").graph(n)
 }
@@ -685,50 +689,6 @@ pub fn e15_gamma_ablation(scale: Scale) -> Table {
     t
 }
 
-/// Times the E2 APSP workload (Theorem 1.1, the SODA'20 baseline, and the
-/// sequential reference APSP) and returns machine-readable records for
-/// `BENCH_apsp.json` — the perf trajectory future PRs compare against.
-/// Solver-backed records carry the canonical query label emitted by the new
-/// API; the measured instances and algorithms are unchanged from the pre-facade
-/// sweeps (pinned by `bench_apsp_json_pins_instances_and_algorithms`).
-pub fn bench_apsp_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
-    use crate::json::BenchRecord;
-    let sizes: &[usize] = scale.pick3(&[200, 400], &[300, 500, 800, 1200], &[800, 1600, 3200]);
-    // Min-of-N interleaved runs (the documented methodology): each benchmark
-    // is timed `RUNS` times and the minimum recorded, filtering scheduler
-    // noise without changing the measured workload.
-    const RUNS: usize = 3;
-    let threads = hybrid_sim::par::round_threads();
-    let thm11 = Query::apsp().xi(1.5).build().expect("valid");
-    let soda20 = Query::apsp().variant(ApspVariant::Soda20).xi(1.5).build().expect("valid");
-    let mut records = Vec::new();
-    for &n in sizes {
-        let g = e2_graph(n);
-        records.push(BenchRecord::measure_min_of("reference_apsp", n, RUNS, || {
-            let m = apsp(&g);
-            assert!(!m.is_empty());
-            0
-        }));
-        records.push(
-            BenchRecord::measure_min_of("thm11_apsp", n, RUNS, || {
-                let mut net = HybridNet::new(&g, HybridConfig::default());
-                solve(&mut net, &thm11, 5).expect("apsp").rounds
-            })
-            .with_query(thm11.label())
-            .with_threads(threads),
-        );
-        records.push(
-            BenchRecord::measure_min_of("soda20_apsp", n, RUNS, || {
-                let mut net = HybridNet::new(&g, HybridConfig::default());
-                solve(&mut net, &soda20, 5).expect("apsp baseline").rounds
-            })
-            .with_query(soda20.label())
-            .with_threads(threads),
-        );
-    }
-    records
-}
-
 /// The standard mixed serving batch: 8 distinct paper queries (both APSP
 /// variants, exact and approximate SSSP, two k-SSP corollaries, both
 /// diameter corollaries, all at the session's ξ = 1.5) cycled to length `q`
@@ -761,329 +721,64 @@ pub fn mixed_query_batch(q: usize) -> Vec<Query> {
     (0..q).map(|i| base[i % base.len()].clone()).collect()
 }
 
-/// Serving-throughput sweep for `BENCH_throughput.json` (schema
-/// [`crate::json::SCHEMA_THROUGHPUT`]): a q=32 mixed-query batch on the E2
-/// graph, timed cold (32 independent `solve` calls on fresh nets) and
-/// through one serving [`Session`]. Records queries/sec for both and the
-/// amortized-vs-cold wall-clock ratio on the session record — the headline
-/// amortization number, measured in-process so both sides see the same
-/// machine noise. Both sides serve *sequentially* (the session side is a
-/// plain `solve` loop, not `solve_batch`), so the recorded ratio isolates
-/// preprocessing amortization and cannot be inflated by worker threading on
-/// a multi-core host.
-pub fn bench_throughput_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
-    use crate::json::BenchRecord;
-    // The recorded instances are the E2 n=200/400 graphs of the perf
-    // trajectory (small = the recorded sweep, as for `BENCH_apsp.json`).
-    let sizes: &[usize] = scale.pick3(&[200, 400], &[200, 400], &[400, 800]);
-    const BATCH: usize = 32;
-    let seed = 7u64;
-    let mut records = Vec::new();
-    for &n in sizes {
-        let g = e2_graph(n);
-        let queries = mixed_query_batch(BATCH);
-        let cold = BenchRecord::measure("mixed32_cold", n, || {
-            let mut rounds = 0;
-            for q in &queries {
-                let mut net = HybridNet::new(&g, HybridConfig::default());
-                rounds += solve(&mut net, q, seed).expect("cold solve").rounds;
-            }
-            rounds
-        });
-        let session = Session::new(&g, SessionConfig::new(seed)).expect("session");
-        let warm = BenchRecord::measure("mixed32_session", n, || {
-            let mut rounds = 0;
-            for q in &queries {
-                rounds += session.solve(q).expect("session solve").rounds;
-            }
-            rounds
-        });
-        assert_eq!(cold.rounds, warm.rounds, "session must bill identical simulated rounds");
-        let ratio = cold.wall_ns as f64 / warm.wall_ns.max(1) as f64;
-        let qps = |ns: u128| BATCH as f64 / (ns as f64 / 1e9);
-        let cold_qps = qps(cold.wall_ns);
-        let warm_qps = qps(warm.wall_ns);
-        records.push(cold.with_throughput("e2-er", BATCH, cold_qps));
-        records.push(warm.with_throughput("e2-er", BATCH, warm_qps).with_ratio(ratio));
-    }
-    records
+/// One timed repair migration of the churn sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct RepairRun {
+    /// The session's damage threshold.
+    pub threshold: f64,
+    /// The path [`Session::apply_delta`] took.
+    pub path: RepairPath,
+    /// Fraction of nodes the delta dirtied.
+    pub dirty_fraction: f64,
+    /// Fastest wall clock of five migrations, in nanoseconds.
+    pub wall_ns: u128,
 }
 
-/// Converts one load-generator report into a `serving-v2` record.
-fn serving_record(n: usize, r: &hybrid_serve::LoadReport) -> crate::json::BenchRecord {
-    crate::json::BenchRecord {
-        bench: r.name.clone(),
-        n,
-        wall_ns: u128::from(r.wall_ns),
-        rounds: r.rounds_total,
-        peak_rss_bytes: crate::json::peak_rss_bytes(),
-        ..crate::json::BenchRecord::default()
-    }
-    .with_serving(crate::json::ServingFields {
-        clients: r.clients,
-        issued: r.issued,
-        served: r.served,
-        shed: r.shed,
-        failed: r.failed,
-        p50_ns: r.p50_ns,
-        p95_ns: r.p95_ns,
-        p99_ns: r.p99_ns,
-        qps: r.qps,
-        shed_rate: r.shed_rate,
-        cache_hits: r.stats.session_hits,
-        cache_admitted: r.stats.sessions_admitted,
-        cache_evicted: r.stats.sessions_evicted,
-        cache_bytes: r.stats.session_bytes as u64,
-        verified: r.stats.verified,
-        mismatches: r.stats.mismatches,
-        batches: r.stats.batches,
-        max_batch: r.stats.max_batch,
-        retries: r.retries,
-        deadline_shed: r.deadline_shed,
-        breaker_rejected: r.breaker_rejected,
-        breaker_opens: r.stats.breaker_opens,
-        breaker_probes: r.stats.breaker_probes,
-        quarantined: r.stats.quarantined,
-        degraded_served: r.degraded_served,
-    })
+/// The churn repair sweep's measurements ([`churn_sweep`]), gated by
+/// [`churn_gate_violations`].
+#[derive(Debug, Clone)]
+pub struct ChurnSweep {
+    /// Cycle size of the repair runs.
+    pub n: usize,
+    /// The reweight under a permissive damage threshold (incremental patch).
+    pub patch: RepairRun,
+    /// The same reweight under threshold 0 (forced full re-prepare).
+    pub full: RepairRun,
+    /// The same reweight across the damage-threshold sweep.
+    pub thresholds: Vec<RepairRun>,
+    /// The churn+chaos serving loop.
+    pub serve: LoadReport,
 }
 
-/// Closed-loop serving sweep for `BENCH_serving.json` (schema
-/// [`crate::json::SCHEMA_SERVING`]): registry workloads driven through the
-/// multi-tenant broker by the deterministic load generator. Three workloads:
+impl ChurnSweep {
+    /// Full re-prepare wall clock over incremental patch wall clock.
+    pub fn speedup(&self) -> f64 {
+        self.full.wall_ns as f64 / self.patch.wall_ns.max(1) as f64
+    }
+}
+
+/// The churn repair sweep that rides every `experiments --smoke`, in three
+/// parts:
 ///
-/// * `serve-mixed` — two tenants with comfortable queue depth and a generous
-///   session budget over two registry graphs (`e2-er`, `sparse-grid`); the
-///   cache-friendly steady state (high hit rate, no shedding expected).
-/// * `serve-tight` — three depth-1 tenants under a byte budget sized to
-///   ~1.5 sessions, probed from a real session's `prepared_bytes`; admission
-///   pressure and LRU eviction churn on the same request mix. Clients retry
-///   overloads with deterministic backoff.
-/// * `serve-chaos` — the fault-tolerant serving path end to end: a healthy
-///   tenant, a lossy+corrupting tenant (drop and bit-flip fault plans run
-///   cold through the reliable layer), a crashing tenant whose answers come
-///   back explicitly `degraded=`, and a panicking tenant guarded by a
-///   circuit breaker, all under tight deadline budgets.
-///
-/// Every response the broker serves is verified bit-identical to a cold
-/// solve online (the chaos referee replays the same fault plan);
-/// `mismatches` must be 0, failures must be exactly the contained panics,
-/// and every issued request must be accounted
-/// served/shed/deadline-shed/breaker-rejected/failed — the smoke driver
-/// exits non-zero otherwise.
-pub fn bench_serving_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
-    use hybrid_graph::NodeId;
-    use hybrid_serve::{run_load, Broker, BrokerConfig, GraphCatalog, LoadSpec, TenantConfig};
-    use hybrid_sim::{Crash, FaultPlan};
-    let n = scale.pick3(SMOKE_N, 200, 400);
-    let mut catalog = GraphCatalog::new();
-    catalog.insert("e2-er", e2_graph(n));
-    catalog.insert(
-        "sparse-grid",
-        hybrid_scenarios::find("sparse-grid-thm11").expect("registered").graph(n),
-    );
-    let graphs = vec!["e2-er".to_string(), "sparse-grid".to_string()];
-    // The 8 distinct queries of the standard mixed serving batch.
-    let queries = mixed_query_batch(8);
-    let mut records = Vec::new();
-
-    let mixed_broker = Broker::new(&catalog, BrokerConfig::new(7));
-    for tenant in ["acme", "globex"] {
-        mixed_broker.register_tenant(tenant, TenantConfig::new(4)).expect("trivial tenant");
-    }
-    let mixed = run_load(
-        &mixed_broker,
-        &LoadSpec {
-            name: "serve-mixed".into(),
-            clients: scale.pick(4, 6),
-            requests_per_client: scale.pick(6, 32),
-            tenants: vec!["acme".into(), "globex".into()],
-            graphs: graphs.clone(),
-            queries: queries.clone(),
-            seed: 7,
-            retries: 0,
-            retry_backoff_ms: 0,
-            deadline_ms: None,
-            updates: Vec::new(),
-            update_every: 0,
-        },
-    );
-    records.push(serving_record(n, &mixed));
-
-    // Probe a real session's footprint to size a budget that cannot hold the
-    // working set (2 graphs × 3 tenants), forcing byte-driven evictions.
-    let probe = {
-        let (g, _) = catalog.get("e2-er").expect("registered");
-        let session = Session::new(&g, SessionConfig::new(7)).expect("session");
-        for q in &queries {
-            session.solve(q).expect("probe solve");
-        }
-        session.stats().prepared_bytes
-    };
-    let mut tight_cfg = BrokerConfig::new(7);
-    tight_cfg.session_budget_bytes = probe + probe / 2;
-    let tight_broker = Broker::new(&catalog, tight_cfg);
-    for tenant in ["t0", "t1", "t2"] {
-        tight_broker.register_tenant(tenant, TenantConfig::new(1)).expect("trivial tenant");
-    }
-    let tight = run_load(
-        &tight_broker,
-        &LoadSpec {
-            name: "serve-tight".into(),
-            clients: scale.pick(4, 6),
-            requests_per_client: scale.pick(6, 16),
-            tenants: vec!["t0".into(), "t1".into(), "t2".into()],
-            graphs: graphs.clone(),
-            queries: queries.clone(),
-            seed: 11,
-            retries: 2,
-            retry_backoff_ms: 1,
-            deadline_ms: None,
-            updates: Vec::new(),
-            update_every: 0,
-        },
-    );
-    records.push(serving_record(n, &tight));
-
-    // The chaos workload: faulty tenants, corruption, a breaker-guarded
-    // panicking tenant, and deadline budgets on every request. The referee
-    // replays each tenant's fault plan, so bit-identity is still enforced
-    // online; failures are exactly the contained panics.
-    let chaos_broker = Broker::new(&catalog, BrokerConfig::new(7));
-    chaos_broker.register_tenant("steady", TenantConfig::new(4)).expect("trivial tenant");
-    let mut lossy = TenantConfig::new(4);
-    lossy.faults = Some(FaultPlan { corrupt_prob: 0.15, ..FaultPlan::drops(0.15, 21) });
-    chaos_broker.register_tenant("lossy", lossy).expect("valid lossy plan");
-    let mut crashy = TenantConfig::new(4);
-    crashy.faults =
-        Some(FaultPlan::node_crashes(vec![Crash { node: NodeId::new(0), at_round: 2 }]));
-    chaos_broker.register_tenant("crashy", crashy).expect("valid crash plan");
-    // Every admitted request panics, so the breaker trips deterministically
-    // after `breaker_threshold` contained failures and every later request
-    // is either breaker-rejected or a failed half-open probe.
-    let mut panicky = TenantConfig::new(4);
-    panicky.breaker_threshold = Some(2);
-    panicky.breaker_cooldown = 2;
-    panicky.chaos_panic_every = Some(1);
-    chaos_broker.register_tenant("panicky", panicky).expect("trivial tenant");
-    let chaos = run_load(
-        &chaos_broker,
-        &LoadSpec {
-            name: "serve-chaos".into(),
-            clients: scale.pick(3, 4),
-            requests_per_client: scale.pick(4, 8),
-            tenants: vec!["steady".into(), "lossy".into(), "crashy".into(), "panicky".into()],
-            graphs,
-            // The chaos tenants run every query cold through the reliable
-            // layer; a leaner mix keeps the sweep's wall clock in check.
-            queries: queries.into_iter().take(4).collect(),
-            seed: 13,
-            retries: 2,
-            retry_backoff_ms: 1,
-            deadline_ms: Some(2_000),
-            updates: Vec::new(),
-            update_every: 0,
-        },
-    );
-    records.push(serving_record(n, &chaos));
-    records
-}
-
-/// Human-readable table over [`bench_serving_records`] output.
-pub fn serving_table(records: &[crate::json::BenchRecord]) -> Table {
-    let mut t = Table::new(
-        "Serving: closed-loop broker load (bit-identity verified online)",
-        &[
-            "workload", "n", "clients", "issued", "served", "shed", "failed", "p50 ms", "p95 ms",
-            "p99 ms", "qps", "hits", "evict", "mismatch", "retry", "dlshed", "brk", "degr",
-        ],
-    );
-    for r in records {
-        let s = r.serving.as_ref().expect("serving record");
-        let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
-        t.row(vec![
-            r.bench.clone(),
-            r.n.to_string(),
-            s.clients.to_string(),
-            s.issued.to_string(),
-            s.served.to_string(),
-            s.shed.to_string(),
-            s.failed.to_string(),
-            ms(s.p50_ns),
-            ms(s.p95_ns),
-            ms(s.p99_ns),
-            f3(s.qps),
-            s.cache_hits.to_string(),
-            s.cache_evicted.to_string(),
-            s.mismatches.to_string(),
-            s.retries.to_string(),
-            s.deadline_shed.to_string(),
-            s.breaker_rejected.to_string(),
-            s.degraded_served.to_string(),
-        ]);
-    }
-    t
-}
-
-/// Chaos recovery sweep for `BENCH_chaos.json` (schema
-/// [`crate::json::SCHEMA_CHAOS`]): every `chaos-*` registry scenario runs
-/// twice — once under its fault plan and once as a fault-free twin on the
-/// same graph, seed, and suite — and each record carries both runs, so the
-/// renderer can report the recovery overhead in simulated rounds and
-/// wall-clock time. The chaos run's golden-verification verdict rides along;
-/// a non-`pass` verdict is a recovery-contract regression.
-pub fn bench_chaos_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
-    use crate::json::BenchRecord;
-    let mut records = Vec::new();
-    for sc in hybrid_scenarios::by_tag("chaos") {
-        let n = match scale {
-            Scale::Small => SMOKE_N,
-            Scale::Full | Scale::Large => sc.default_n,
-        };
-        let healthy_twin = Scenario { faults: FaultPlan::None, ..*sc };
-        let healthy = run_scenario_with(&healthy_twin, n, Engine::Fresh);
-        let chaos = run_scenario_with(sc, n, Engine::Fresh);
-        records
-            .push(BenchRecord::from_scenario(&chaos).with_healthy(healthy.rounds, healthy.wall_ns));
-    }
-    records
-}
-
-/// Churn repair sweep for `BENCH_churn.json` (schema
-/// [`crate::json::SCHEMA_CHURN`]), in three parts:
-///
-/// * `churn-repair-patch` / `churn-repair-full` — the same single-edge
-///   reweight (the canonical localized delta) migrated through
-///   [`Session::apply_delta`] under a permissive damage threshold
-///   (incremental patch) and under threshold 0 (forced full re-prepare), on
-///   a weighted cycle at `n ≥ 400`. Cycles are the bounded-growth family
-///   this comparison needs: h-hop balls grow linearly, so the delta dirties
-///   a bounded skeleton fraction (`≈ 2h/n`) and the patch path has real work
-///   to skip — on an ER graph the ball covers most of the graph and the
-///   comparison degenerates. The patch record carries
-///   `full_wall / patch_wall` in `amortized_vs_cold`; the smoke gate
-///   ([`churn_gate_violations`]) requires ≥ 2×.
-/// * `churn-threshold-<t>` — the same migration across a damage-threshold
-///   sweep; each record carries its threshold, the delta's dirtied-node
-///   fraction, and which path repair took as the verdict. The gate requires
-///   the full fallback exactly when the dirty fraction exceeds the
-///   threshold.
-/// * `churn-serve` — the churn+chaos serving loop: a healthy and a lossy
-///   tenant racing reweight updates against queries through the broker,
-///   every answer verified bit-identical online against the graph epoch the
-///   request landed on. The gate requires zero mismatches and zero failures.
-pub fn bench_churn_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
-    use crate::json::BenchRecord;
-    use hybrid_core::RepairPath;
-    use hybrid_graph::{DeltaBatch, GraphDelta};
-    use hybrid_serve::{
-        run_load, Broker, BrokerConfig, GraphCatalog, LoadSpec, LoadUpdate, TenantConfig,
-    };
-
+/// * patch vs full — the same single-edge reweight (the canonical localized
+///   delta) migrated through [`Session::apply_delta`] under a permissive
+///   damage threshold (incremental patch) and under threshold 0 (forced full
+///   re-prepare), on a weighted cycle at n = 2400. Cycles are the
+///   bounded-growth family this comparison needs: h-hop balls grow linearly,
+///   so the delta dirties a bounded skeleton fraction (`≈ 2h/n`) and the
+///   patch path has real work to skip — on an ER graph the ball covers most
+///   of the graph and the comparison degenerates.
+/// * the damage-threshold sweep — the same migration at thresholds 0 … 1,
+///   recording which path repair took and the delta's dirtied-node fraction.
+/// * `churn-serve` — the churn+chaos serving loop at [`SMOKE_N`]: a healthy
+///   and a lossy tenant racing reweight updates against queries through the
+///   broker, every answer verified bit-identical online against the graph
+///   epoch the request landed on.
+pub fn churn_sweep() -> ChurnSweep {
     // The SSSP preamble's hop budget is h = ξ·n^{2/5}·ln n, so the reweight
     // below dirties ≈ 2h/n of the cycle — about a fifth at n = 2400. Much
     // smaller n and the ball swallows the cycle (no locality left to
-    // exploit); this size keeps both repair paths honest at every scale.
+    // exploit).
     let n = 2400;
     let g = cycle(n, 3).expect("cycle builds");
     let e0 = g.edges()[0];
@@ -1092,50 +787,29 @@ pub fn bench_churn_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
     let query = Query::sssp(NodeId::new(0)).build().expect("default SSSP query is valid");
     // One prepared session per threshold: `apply_delta` consults the
     // session's own damage threshold, and repair only migrates prepared
-    // preambles, so each session solves once before the timed migration.
-    let prepared = |threshold: f64| {
+    // preambles, so each session solves once before the timed migrations.
+    // The minimum of five filters scheduler noise.
+    let timed = |threshold: f64| {
         let cfg = SessionConfig { damage_threshold: threshold, ..SessionConfig::new(41) };
         let session = Session::new(&g, cfg).expect("cycle session");
         session.solve(&query).expect("prepare the SSSP preamble");
-        session
-    };
-    let path_label = |p: RepairPath| match p {
-        RepairPath::Patched => "patched",
-        RepairPath::Full => "full",
-    };
-    let timed = |bench: &str, threshold: f64| {
-        let session = prepared(threshold);
-        let mut path = RepairPath::Patched;
-        let mut dirty = 0.0;
-        let mut rec = BenchRecord::measure_min_of(bench, n, 5, || {
+        let (mut wall_ns, mut last) = (u128::MAX, None);
+        for _ in 0..5 {
+            let start = std::time::Instant::now();
             let (_, rep) = session.apply_delta(&batch).expect("churn batch validates");
-            path = rep.path();
-            dirty = rep.dirty_fraction;
-            rep.rounds
-        });
-        rec.family = Some("cycle".into());
-        rec.query = Some(query.label().into());
-        rec.verdict = Some(path_label(path).into());
-        rec.damage_threshold = Some(threshold);
-        rec.dirty_fraction = Some(dirty);
-        rec
+            wall_ns = wall_ns.min(start.elapsed().as_nanos());
+            last = Some(rep);
+        }
+        let rep = last.expect("five migrations ran");
+        RepairRun { threshold, path: rep.path(), dirty_fraction: rep.dirty_fraction, wall_ns }
     };
+    let patch = timed(0.75);
+    let full = timed(0.0);
+    let thresholds = [0.0, 0.1, 0.25, 0.5, 1.0].into_iter().map(timed).collect();
 
-    let mut records = Vec::new();
-    let patch = timed("churn-repair-patch", 0.75);
-    let full = timed("churn-repair-full", 0.0);
-    let speedup = full.wall_ns as f64 / patch.wall_ns.max(1) as f64;
-    records.push(patch.with_ratio(speedup));
-    records.push(full);
-    for &t in &[0.0, 0.1, 0.25, 0.5, 1.0] {
-        records.push(timed(&format!("churn-threshold-{t:.2}"), t));
-    }
-
-    // The serving loop runs at smoke size — the lossy tenant solves every
-    // query cold through the reliable layer, so this part is priced like the
-    // serving smoke sweep, not like the n ≥ 400 repair measurement above.
-    let serve_n = scale.pick(SMOKE_N, 200);
-    let gs = cycle(serve_n, 3).expect("cycle builds");
+    // The serving loop runs at smoke size: the lossy tenant solves every
+    // query cold through the reliable layer.
+    let gs = cycle(SMOKE_N, 3).expect("cycle builds");
     let mut catalog = GraphCatalog::new();
     catalog.insert("churn-cycle", gs.clone());
     let broker = Broker::new(&catalog, BrokerConfig::new(17));
@@ -1157,12 +831,12 @@ pub fn bench_churn_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
             LoadUpdate { tenant: "steady".into(), graph: "churn-cycle".into(), batch: b }
         })
         .collect();
-    let report = run_load(
+    let serve = run_load(
         &broker,
         &LoadSpec {
             name: "churn-serve".into(),
-            clients: scale.pick(3, 4),
-            requests_per_client: scale.pick(6, 10),
+            clients: 3,
+            requests_per_client: 6,
             tenants: vec!["steady".into(), "lossy".into()],
             graphs: vec!["churn-cycle".into()],
             queries: mixed_query_batch(4),
@@ -1174,94 +848,69 @@ pub fn bench_churn_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
             update_every: 3,
         },
     );
-    let mut rec = serving_record(serve_n, &report);
-    rec.family = Some("cycle".into());
-    rec.updates_applied = Some(report.updates_applied);
-    records.push(rec);
-    records
+    ChurnSweep { n, patch, full, thresholds, serve }
 }
 
-/// The churn smoke gate over [`bench_churn_records`] output: incremental
-/// repair must beat the full re-prepare ≥ 2× at `n ≥ 400`, the full fallback
-/// must fire exactly when the dirty fraction exceeds the damage threshold
-/// (and the sweep must exercise both paths), and the churn+chaos serving
-/// loop must apply updates with zero bit-identity mismatches and zero
-/// failures. Returns the violations; empty means the gate holds.
-pub fn churn_gate_violations(records: &[crate::json::BenchRecord]) -> Vec<String> {
+/// The churn smoke gate over a [`churn_sweep`]: incremental repair must beat
+/// the full re-prepare ≥ 2× at `n ≥ 400`, the full fallback must fire
+/// exactly when the dirty fraction exceeds the damage threshold (and the
+/// sweep must exercise both paths), and the churn+chaos serving loop must
+/// apply updates with zero bit-identity mismatches and zero failures.
+/// Returns the violations; empty means the gate holds.
+pub fn churn_gate_violations(sweep: &ChurnSweep) -> Vec<String> {
     let mut v = Vec::new();
-    match (
-        records.iter().find(|r| r.bench == "churn-repair-patch"),
-        records.iter().find(|r| r.bench == "churn-repair-full"),
-    ) {
-        (Some(p), Some(f)) => {
-            if p.n < 400 {
-                v.push(format!("patch-vs-full must be measured at n ≥ 400, got n = {}", p.n));
-            }
-            if p.verdict.as_deref() != Some("patched") {
-                v.push(format!("churn-repair-patch took the {:?} path", p.verdict));
-            }
-            if f.verdict.as_deref() != Some("full") {
-                v.push(format!("churn-repair-full took the {:?} path", f.verdict));
-            }
-            match p.amortized_ratio {
-                Some(r) if r >= 2.0 => {}
-                r => v.push(format!(
-                    "incremental repair must be ≥ 2× faster than the full re-prepare at \
-                     n = {}, got {r:?}",
-                    p.n
-                )),
-            }
-        }
-        _ => v.push("churn sweep is missing the patch/full repair records".into()),
+    if sweep.n < 400 {
+        v.push(format!("patch-vs-full must be measured at n ≥ 400, got n = {}", sweep.n));
     }
-    let sweep: Vec<_> =
-        records.iter().filter(|r| r.bench.starts_with("churn-threshold-")).collect();
+    if sweep.patch.path != RepairPath::Patched {
+        v.push(format!("the patch run took the {:?} path", sweep.patch.path));
+    }
+    if sweep.full.path != RepairPath::Full {
+        v.push(format!("the full run took the {:?} path", sweep.full.path));
+    }
+    let speedup = sweep.speedup();
+    if speedup < 2.0 {
+        v.push(format!(
+            "incremental repair must be ≥ 2× faster than the full re-prepare at n = {}, got \
+             {speedup:.2}×",
+            sweep.n
+        ));
+    }
     let (mut fulls, mut patches) = (0, 0);
-    for r in &sweep {
-        let (Some(t), Some(d)) = (r.damage_threshold, r.dirty_fraction) else {
-            v.push(format!("{}: missing damage_threshold/dirty_fraction", r.bench));
-            continue;
-        };
-        let want = if d > t { "full" } else { "patched" };
-        if r.verdict.as_deref() != Some(want) {
+    for r in &sweep.thresholds {
+        let want =
+            if r.dirty_fraction > r.threshold { RepairPath::Full } else { RepairPath::Patched };
+        if r.path != want {
             v.push(format!(
-                "{}: dirty fraction {d:.4} vs threshold {t:.2} must take the {want} path, \
-                 took {:?}",
-                r.bench, r.verdict
+                "threshold {:.2}: dirty fraction {:.4} must take the {want:?} path, took {:?}",
+                r.threshold, r.dirty_fraction, r.path
             ));
         }
-        match r.verdict.as_deref() {
-            Some("full") => fulls += 1,
-            _ => patches += 1,
+        match r.path {
+            RepairPath::Full => fulls += 1,
+            RepairPath::Patched => patches += 1,
         }
     }
-    if sweep.is_empty() || fulls == 0 || patches == 0 {
+    if fulls == 0 || patches == 0 {
         v.push(format!(
             "threshold sweep must exercise both repair paths (full: {fulls}, patched: {patches})"
         ));
     }
-    match records.iter().find(|r| r.bench == "churn-serve") {
-        Some(s) => match (&s.serving, s.updates_applied) {
-            (Some(f), Some(u)) => {
-                if f.mismatches > 0 {
-                    v.push(format!(
-                        "churn-serve: {} bit-identity mismatch(es) under churn+chaos",
-                        f.mismatches
-                    ));
-                }
-                if f.failed > 0 {
-                    v.push(format!("churn-serve: {} request(s)/update(s) failed", f.failed));
-                }
-                if f.served == 0 {
-                    v.push("churn-serve: no request was served".into());
-                }
-                if u == 0 {
-                    v.push("churn-serve: no update was applied".into());
-                }
-            }
-            _ => v.push("churn-serve record is missing its serving/update fields".into()),
-        },
-        None => v.push("churn sweep is missing the churn-serve record".into()),
+    let serve = &sweep.serve;
+    if serve.stats.mismatches > 0 {
+        v.push(format!(
+            "churn-serve: {} bit-identity mismatch(es) under churn+chaos",
+            serve.stats.mismatches
+        ));
+    }
+    if serve.failed > 0 {
+        v.push(format!("churn-serve: {} request(s)/update(s) failed", serve.failed));
+    }
+    if serve.served == 0 {
+        v.push("churn-serve: no request was served".into());
+    }
+    if serve.updates_applied == 0 {
+        v.push("churn-serve: no update was applied".into());
     }
     v
 }
@@ -1374,28 +1023,6 @@ pub fn scenario_table(reports: &[ScenarioReport]) -> Table {
     t
 }
 
-/// Runs every experiment at the given scale, returning all tables.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    vec![
-        e1_token_routing(scale),
-        e2_apsp(scale),
-        e3_kssp(scale),
-        e4_sssp(scale),
-        e5_diameter(scale),
-        e6_kssp_lower_bound(scale),
-        e7_diameter_lower_bound(scale),
-        e8_helper_sets(scale),
-        e9_ruling_sets(scale),
-        e10_skeletons(scale),
-        e11_congestion(scale),
-        e12_clique_sim(scale),
-        e13_xi_ablation(scale),
-        e14_mu_ablation(scale),
-        e15_gamma_ablation(scale),
-        e16_scenarios(scale),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1428,148 +1055,19 @@ mod tests {
     }
 
     #[test]
-    fn apsp_records_cover_all_benches_and_sizes() {
-        let records = bench_apsp_records(Scale::Small);
-        assert_eq!(records.len(), 6); // 2 sizes x 3 benches
-        assert!(records.iter().any(|r| r.bench == "thm11_apsp" && r.rounds > 0));
-        assert!(records.iter().any(|r| r.bench == "reference_apsp" && r.rounds == 0));
-        assert!(records.iter().all(|r| r.wall_ns > 0));
-        // Solver-backed records carry the canonical query label; the
-        // sequential reference has no query.
-        for r in &records {
-            match r.bench.as_str() {
-                "thm11_apsp" => assert_eq!(r.query.as_deref(), Some("apsp-thm11")),
-                "soda20_apsp" => assert_eq!(r.query.as_deref(), Some("apsp-soda20")),
-                _ => assert_eq!(r.query, None),
-            }
-            // Simulator-backed records carry the round-engine budget.
-            assert_eq!(r.threads.is_some(), r.query.is_some(), "{}", r.bench);
-        }
-    }
-
-    #[test]
-    fn bench_apsp_json_pins_instances_and_algorithms() {
-        // The recorded perf trajectory must keep benchmarking the same E2
-        // graph instances and the same algorithms across the API redesign.
-        let doc =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_apsp.json"))
-                .expect("BENCH_apsp.json at the repo root");
-        assert!(doc.contains(&format!("\"schema\": \"{}\"", crate::json::SCHEMA)));
-        for n in [200usize, 400] {
-            for bench in ["reference_apsp", "thm11_apsp", "soda20_apsp"] {
-                assert!(
-                    doc.contains(&format!("\"bench\": \"{bench}\", \"n\": {n}")),
-                    "record ({bench}, {n}) missing from BENCH_apsp.json"
-                );
-            }
-        }
-        for label in ["apsp-thm11", "apsp-soda20"] {
-            assert!(doc.contains(&format!("\"query\": \"{label}\"")), "label {label} missing");
-        }
-        // The E2 instance is still bit-identical to the pre-registry
-        // er(n, 12, 4, 3) graphs the trajectory has recorded since PR 1.
-        for n in [200usize, 400] {
-            assert_eq!(e2_graph(n).edges(), er(n, 12.0, 4, 3).edges());
-        }
-    }
-
-    #[test]
-    fn throughput_records_measure_cold_and_session() {
-        let records = bench_throughput_records(Scale::Small);
-        assert_eq!(records.len(), 4); // 2 sizes × (cold, session)
-        for r in &records {
-            assert_eq!(r.batch, Some(32));
-            assert_eq!(r.family.as_deref(), Some("e2-er"));
-            assert!(r.qps.unwrap_or(0.0) > 0.0, "{}: qps missing", r.bench);
-        }
-        let session =
-            records.iter().find(|r| r.bench == "mixed32_session" && r.n == 200).expect("record");
-        // The ratio assertion itself lives in tests/session_equivalence.rs;
-        // here the sweep must at least show amortization, not regression.
-        assert!(session.amortized_ratio.expect("ratio") > 1.0);
-    }
-
-    #[test]
-    fn serving_records_account_for_every_request() {
-        let records = bench_serving_records(Scale::Small);
-        assert_eq!(records.len(), 3); // serve-mixed + serve-tight + serve-chaos
-        for r in &records {
-            let s = r.serving.as_ref().expect("serving block");
-            assert_eq!(
-                s.served + s.shed + s.deadline_shed + s.breaker_rejected + s.failed,
-                s.issued,
-                "{}: every request must be accounted",
-                r.bench
-            );
-            if r.bench != "serve-chaos" {
-                assert_eq!(s.failed, 0, "{}: healthy workloads must not fail", r.bench);
-            }
-            assert_eq!(s.mismatches, 0, "{}: bit-identity must hold", r.bench);
-            assert!(s.verified >= s.served, "{}: every served response is verified", r.bench);
-            assert!(s.served > 0 && s.qps > 0.0, "{}: the loop must make progress", r.bench);
-            assert!(s.breaker_probes <= s.breaker_opens, "{}: probe without open", r.bench);
-        }
-        let mixed = &records[0];
-        assert_eq!(mixed.bench, "serve-mixed");
-        let s = mixed.serving.as_ref().unwrap();
-        assert!(s.cache_hits > 0, "steady-state mix must hit resident sessions");
-        // The tight workload's budget holds ~1.5 sessions for a 6-session
-        // working set, so byte-driven eviction must actually fire.
-        let tight = records[1].serving.as_ref().unwrap();
-        assert!(tight.cache_evicted > 0, "tight budget must evict");
-        // The chaos workload must actually exercise the fault-tolerant path:
-        // contained panics are quarantined, and the crashing tenant's served
-        // answers come back explicitly degraded.
-        let chaos = records[2].serving.as_ref().unwrap();
-        assert_eq!(records[2].bench, "serve-chaos");
-        assert!(chaos.failed > 0, "the panicking tenant must fail contained");
-        assert!(chaos.quarantined > 0, "contained panics must quarantine the session");
-        assert!(chaos.degraded_served > 0, "the crashing tenant must serve degraded answers");
-        serving_table(&records).render();
-    }
-
-    #[test]
-    fn chaos_records_measure_recovery_overhead() {
-        let records = bench_chaos_records(Scale::Small);
-        assert_eq!(records.len(), hybrid_scenarios::by_tag("chaos").len());
-        for r in &records {
-            let name = r.scenario.as_deref().expect("scenario name");
-            assert!(name.starts_with("chaos-") || name.starts_with("churn-chaos-"), "{name}");
-            assert_eq!(r.verdict.as_deref(), Some("pass"), "{name} regressed recovery");
-            let healthy = r.healthy_rounds.expect("healthy twin rounds");
-            assert!(healthy > 0, "{name}: twin must do work");
-            assert!(
-                r.rounds >= healthy,
-                "{name}: recovery is charged, never discounted ({} < {healthy})",
-                r.rounds
-            );
-            assert!(r.healthy_wall_ns.expect("twin wall clock") > 0);
-        }
-        // At least one chaos scenario must actually pay a recovery premium.
-        assert!(records.iter().any(|r| r.rounds > r.healthy_rounds.unwrap()));
-    }
-
-    #[test]
-    fn churn_records_pass_the_gate_and_the_gate_bites() {
-        let records = bench_churn_records(Scale::Small);
-        let violations = churn_gate_violations(&records);
+    fn churn_sweep_passes_the_gate_and_the_gate_bites() {
+        let sweep = churn_sweep();
+        let violations = churn_gate_violations(&sweep);
         assert!(violations.is_empty(), "{violations:#?}");
-        // The repair measurement must sit at the gated size even at smoke
-        // scale — the ≥ 2× bound is defined at n ≥ 400.
-        let patch = records.iter().find(|r| r.bench == "churn-repair-patch").unwrap();
-        assert!(patch.n >= 400);
-        assert!(patch.amortized_ratio.unwrap() >= 2.0);
-        // A doctored record set must trip the gate: a slow patch path …
-        let mut doctored = records.clone();
-        doctored.iter_mut().filter(|r| r.bench == "churn-repair-patch").for_each(|r| {
-            r.amortized_ratio = Some(1.5);
-        });
+        // A doctored sweep must trip the gate: a slow patch path (1.5×) …
+        let mut doctored = sweep.clone();
+        doctored.patch.wall_ns = doctored.full.wall_ns * 2 / 3;
         assert!(!churn_gate_violations(&doctored).is_empty(), "speedup gate must bite");
-        // … and a full fallback below the damage threshold.
-        let mut doctored = records.clone();
-        doctored.iter_mut().filter(|r| r.bench.starts_with("churn-threshold-")).for_each(|r| {
-            r.verdict = Some("full".into());
-        });
+        // … and one full fallback below the damage threshold, leaving both
+        // paths exercised so only the threshold check can catch it.
+        let mut doctored = sweep.clone();
+        let patched = doctored.thresholds.iter_mut().find(|r| r.path == RepairPath::Patched);
+        patched.expect("the sweep patches below its threshold").path = RepairPath::Full;
         assert!(!churn_gate_violations(&doctored).is_empty(), "threshold gate must bite");
     }
 

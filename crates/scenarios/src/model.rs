@@ -503,10 +503,13 @@ mod tests {
         // The perf trajectory (BENCH_apsp.json) has recorded `er(n, 12, 4, 3)`
         // instances since PR 1; the registry's `e2-er` must keep producing
         // bit-identical graphs or wall-clock numbers stop being comparable.
+        // n = 200 and 400 are the recorded sizes.
         let f = GraphFamily::ErdosRenyi { avg_deg: 12.0 };
-        let a = f.build(100, WeightModel::Uniform { max: 4 }, 3);
-        let b = crate::workloads::er(100, 12.0, 4, 3);
-        assert_eq!(a.edges(), b.edges());
+        for n in [100, 200, 400] {
+            let a = f.build(n, WeightModel::Uniform { max: 4 }, 3);
+            let b = crate::workloads::er(n, 12.0, 4, 3);
+            assert_eq!(a.edges(), b.edges(), "n = {n}");
+        }
     }
 
     #[test]

@@ -213,6 +213,30 @@ fn faulty_registry_scenarios_verify_under_the_lossy_contract() {
 }
 
 #[test]
+fn chaos_recovery_is_charged_never_discounted() {
+    // Every chaos scenario next to its fault-free twin (same graph, seed and
+    // suite): retransmission waves, backoff and crash detection cost
+    // simulated rounds, so the chaos run can never bill fewer rounds than
+    // its twin, and at least one must pay a recovery premium.
+    let mut premium = false;
+    for sc in scenarios::by_tag("chaos") {
+        let twin = scenarios::Scenario { faults: scenarios::FaultPlan::None, ..*sc };
+        let healthy = scenarios::run_scenario(&twin, 48);
+        let chaos = scenarios::run_scenario(sc, 48);
+        assert!(healthy.rounds > 0, "{}: the twin must do work", sc.name);
+        assert!(
+            chaos.rounds >= healthy.rounds,
+            "{}: recovery is charged, never discounted ({} < {})",
+            sc.name,
+            chaos.rounds,
+            healthy.rounds
+        );
+        premium |= chaos.rounds > healthy.rounds;
+    }
+    assert!(premium, "at least one chaos scenario must pay a recovery premium");
+}
+
+#[test]
 fn skeleton_undersampling_degrades_gracefully() {
     // A skeleton whose h is far below the sampling gaps: the diameter
     // framework must not panic; it reports a (useless but safe) over-estimate,

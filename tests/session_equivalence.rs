@@ -8,35 +8,12 @@
 //! with the cold-vs-amortized ratio assertion (ratio-based, so a noisy box
 //! can't fake or break it).
 
+use hybrid_bench::experiments::mixed_query_batch;
 use hybrid_shortest_paths::core::session::{Session, SessionConfig};
-use hybrid_shortest_paths::graph::NodeId;
 use hybrid_shortest_paths::scenarios::workloads;
 use hybrid_shortest_paths::scenarios::{registry, run_scenario_with, Engine};
 use hybrid_shortest_paths::sim::{HybridConfig, HybridNet};
-use hybrid_shortest_paths::{
-    solve, Answer, ApspVariant, DiameterCorollary, KsspCorollary, Query, Report, SsspVariant,
-};
-
-/// The benchmark's mixed serving batch (mirrors
-/// `hybrid_bench::experiments::mixed_query_batch`): 8 distinct paper queries
-/// cycled to 32 — the repeat-heavy shape of serving traffic.
-fn mixed_batch_32() -> Vec<Query> {
-    let base = [
-        Query::apsp().xi(1.5).build().unwrap(),
-        Query::apsp().variant(ApspVariant::Soda20).xi(1.5).build().unwrap(),
-        Query::sssp(NodeId::new(0)).xi(1.5).build().unwrap(),
-        Query::sssp(NodeId::new(1))
-            .variant(SsspVariant::ApproxSoda20 { eps: 0.5 })
-            .xi(1.5)
-            .build()
-            .unwrap(),
-        Query::kssp(KsspCorollary::Cor46).random_sources(2).eps(0.5).xi(1.5).build().unwrap(),
-        Query::kssp(KsspCorollary::Cor47).random_sources(8).eps(0.5).xi(1.5).build().unwrap(),
-        Query::diameter(DiameterCorollary::Cor52).eps(0.5).xi(1.5).build().unwrap(),
-        Query::diameter(DiameterCorollary::Cor53).eps(0.5).xi(1.5).build().unwrap(),
-    ];
-    (0..32).map(|i| base[i % base.len()].clone()).collect()
-}
+use hybrid_shortest_paths::{solve, Answer, ApspVariant, Query, Report};
 
 /// Full-report equality, answers compared payload-by-payload.
 fn assert_reports_identical(fresh: &Report, served: &Report, context: &str) {
@@ -178,7 +155,7 @@ fn session_under_four_round_threads_is_bit_identical() {
 fn amortized_mixed_batch_beats_cold_by_ratio() {
     let n = 200;
     let g = workloads::er(n, 12.0, 4, 3);
-    let queries = mixed_batch_32();
+    let queries = mixed_query_batch(32);
     let seed = 7;
 
     let cold_start = std::time::Instant::now();
