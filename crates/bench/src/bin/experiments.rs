@@ -16,7 +16,8 @@
 //!
 //! * `e1` … `e16` print those tables; `all` (the default) prints every one.
 //!   An unknown experiment id or `--` flag exits with status 2.
-//! * `--list` prints the scenario registry (names, tags, families, faults).
+//! * `--list` prints the scenario registry (names, tags, families, faults),
+//!   or with `--filter <tag>` only the scenarios that carry the tag.
 //! * `--smoke` runs the full registry (or the `--filter <tag>` subset) at
 //!   tiny `n` with golden verification, then the churn repair sweep
 //!   (patch-vs-full speedup, damage-threshold sweep, and the churn+chaos
@@ -26,7 +27,8 @@
 //! * `--via-session` makes `--smoke` execute every suite through a serving
 //!   `Session` instead of a cold `solve` — the CI guard that the session
 //!   path answers bit-identically under golden verification.
-//! * `--filter <tag>` restricts scenario selection (for `--smoke` and `e16`).
+//! * `--filter <tag>` restricts scenario selection (for `--list`, `--smoke`
+//!   and `e16`); a tag that no scenario carries exits with status 2.
 //! * `--trace <dir>` writes one Chrome-trace JSON (`<name>.trace.json`,
 //!   simulated rounds as the clock — load in `chrome://tracing` or Perfetto)
 //!   plus a text rollup (`<name>.rollup.txt`) per traced run into `<dir>`.
@@ -129,19 +131,31 @@ fn main() {
         );
     }
     // A filter that no code path will consult must error, not silently gate
-    // nothing: it applies to --smoke and to the e16 scenario matrix.
+    // nothing: it applies to --list, --smoke and the e16 scenario matrix,
+    // and a tag that selects no scenario is an input error too.
     let runs_e16 = wanted.contains(&"e16") || wanted.contains(&"all") || wanted.is_empty();
     if filter.is_some() && !smoke && !list && !runs_e16 {
-        usage_error("--filter applies to --smoke and e16 runs only; nothing here consults it");
+        usage_error(
+            "--filter applies to --list, --smoke and e16 runs only; nothing here consults it",
+        );
+    }
+    let selected: Vec<&hybrid_scenarios::Scenario> = match filter.as_deref() {
+        Some(tag) => hybrid_scenarios::by_tag(tag),
+        None => registry().iter().collect(),
+    };
+    if selected.is_empty() {
+        let tag = filter.as_deref().unwrap_or_default();
+        usage_error(&format!("no scenarios carry the tag {tag} (see --list for the tags)"));
     }
 
     if list {
         println!(
-            "{} registered scenarios (tags: {}):",
-            registry().len(),
+            "{} registered scenarios{} (tags: {}):",
+            selected.len(),
+            filter.as_deref().map(|tag| format!(" tagged {tag}")).unwrap_or_default(),
             hybrid_scenarios::all_tags().join(", ")
         );
-        for sc in registry() {
+        for sc in selected {
             println!(
                 "  {:<22} family={:<16} faults={:<14} suite={:<14} seed={:<4} default_n={:<5} tags=[{}]",
                 sc.name,
@@ -164,9 +178,6 @@ fn main() {
             engine,
         );
         let reports = ex::scenario_reports_with(Scale::Small, filter.as_deref(), engine);
-        if reports.is_empty() {
-            usage_error(&format!("no scenarios match filter {filter:?}"));
-        }
         let failures = reports.iter().filter(|r| !r.passed()).count();
         ex::scenario_table(&reports).print();
         // The churn repair sweep rides every smoke run: patch-vs-full wall
@@ -190,10 +201,6 @@ fn main() {
         // fails the verdict and therefore the gate below.
         let trace_failures = if let Some(dir) = &trace_dir {
             eprintln!("exporting smoke-matrix traces into {}...", dir.display());
-            let selected: Vec<&hybrid_scenarios::Scenario> = match filter.as_deref() {
-                Some(tag) => hybrid_scenarios::by_tag(tag),
-                None => registry().iter().collect(),
-            };
             ex::export_scenario_traces(dir, &selected, ex::SMOKE_N)
         } else {
             0

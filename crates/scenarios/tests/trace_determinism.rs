@@ -47,7 +47,7 @@ proptest! {
 #[test]
 fn thread_budget_never_changes_the_event_stream() {
     // One healthy and one chaos scenario, serial vs sharded round engine:
-    // the per-shard trace buffers must merge to the serial stream exactly.
+    // the sharded scatter must reproduce the serial stream exactly.
     for name in ["e2-er", "chaos-drop-p20-sssp"] {
         let sc = find(name).expect("registered scenario");
         let (serial, m1) = traced_run(sc, 48, Some(1));

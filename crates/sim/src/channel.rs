@@ -30,32 +30,44 @@ impl<M> Envelope<M> {
 pub type Inboxes<M> = Vec<Vec<(NodeId, M)>>;
 
 /// Arena-style inboxes: all delivered messages of one exchange in a single
-/// contiguous buffer, grouped by destination, plus per-destination boundaries.
+/// contiguous buffer, grouped by destination, plus the destinations that
+/// received anything and their boundaries.
 ///
 /// This is the allocation-free counterpart of [`Inboxes`]: the buffer is owned
 /// by the caller and reused across exchanges ([`FlatInboxes::clear`] keeps
 /// capacity), so a steady-state [`crate::HybridNet::exchange_into`] performs no
 /// heap allocation at all. The ordering contract is identical: within each
 /// destination, messages are sorted by `(sender, insertion order)`.
+///
+/// The container is sparse in the destinations: it keeps only the nodes that
+/// received messages (in ascending ID order), so [`FlatInboxes::iter`] and
+/// [`FlatInboxes::drain_into`] cost time in the messages delivered, not in
+/// the network size, and [`FlatInboxes::node`] is a binary search.
 #[derive(Debug, Clone, Default)]
 pub struct FlatInboxes<M> {
-    /// All `(sender, message)` pairs, grouped by destination.
+    /// All `(sender, message)` pairs, grouped by destination in ascending
+    /// destination order.
     msgs: Vec<(NodeId, M)>,
-    /// `starts[v]..starts[v + 1]` delimits destination `v`'s slice of `msgs`
-    /// (`n + 1` entries once populated; empty before the first exchange).
-    starts: Vec<usize>,
+    /// The destinations that received messages, ascending.
+    dsts: Vec<u32>,
+    /// `starts[k]..starts[k + 1]` delimits `dsts[k]`'s slice of `msgs`
+    /// (`dsts.len() + 1` entries once populated; empty before the first
+    /// exchange).
+    starts: Vec<u32>,
+    /// Network size of the last exchange (0 before the first).
+    n: usize,
 }
 
 impl<M> FlatInboxes<M> {
     /// Creates an empty container (no capacity reserved yet).
     pub fn new() -> Self {
-        FlatInboxes { msgs: Vec::new(), starts: Vec::new() }
+        FlatInboxes { msgs: Vec::new(), dsts: Vec::new(), starts: Vec::new(), n: 0 }
     }
 
-    /// Number of destinations the last exchange delivered to (the network
-    /// size), or 0 before the first exchange.
+    /// Network size of the last exchange; 0 before the first exchange and
+    /// once the container is cleared or drained.
     pub fn num_nodes(&self) -> usize {
-        self.starts.len().saturating_sub(1)
+        self.n
     }
 
     /// Total delivered messages.
@@ -69,12 +81,12 @@ impl<M> FlatInboxes<M> {
     }
 
     /// The messages delivered to node `v`, sorted by `(sender, insertion
-    /// order)`. Empty for nodes beyond the last exchange's network size.
+    /// order)`. Empty for nodes that received nothing, including nodes beyond
+    /// the last exchange's network size.
     pub fn node(&self, v: usize) -> &[(NodeId, M)] {
-        if v + 1 < self.starts.len() {
-            &self.msgs[self.starts[v]..self.starts[v + 1]]
-        } else {
-            &[]
+        match u32::try_from(v).map(|v| self.dsts.binary_search(&v)) {
+            Ok(Ok(k)) => &self.msgs[self.starts[k] as usize..self.starts[k + 1] as usize],
+            _ => &[],
         }
     }
 
@@ -83,58 +95,53 @@ impl<M> FlatInboxes<M> {
         self.node(v.index())
     }
 
-    /// Iterates `(destination, &[messages])` over all non-empty destinations.
+    /// Iterates `(destination, &[messages])` over all non-empty destinations,
+    /// in ascending destination order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[(NodeId, M)])> {
-        (0..self.num_nodes()).map(move |v| (v, self.node(v))).filter(|(_, m)| !m.is_empty())
+        self.dsts
+            .iter()
+            .zip(self.starts.windows(2))
+            .map(|(&v, w)| (v as usize, &self.msgs[w[0] as usize..w[1] as usize]))
     }
 
-    /// Empties the container, keeping both buffers' capacity for reuse.
+    /// Empties the container, keeping the buffers' capacity for reuse.
     pub fn clear(&mut self) {
         self.msgs.clear();
+        self.dsts.clear();
         self.starts.clear();
+        self.n = 0;
     }
 
     /// Drains every message, invoking `f(destination, (sender, message))` in
     /// delivery order. Keeps capacity (the container is empty afterwards).
     pub fn drain_into(&mut self, mut f: impl FnMut(usize, (NodeId, M))) {
-        let starts = std::mem::take(&mut self.starts);
-        if starts.is_empty() {
-            debug_assert!(self.msgs.is_empty());
-            self.starts = starts;
-            return;
-        }
-        let mut dst = 0usize;
-        for (i, pair) in self.msgs.drain(..).enumerate() {
-            while starts[dst + 1] <= i {
-                dst += 1;
+        let FlatInboxes { msgs, dsts, starts, .. } = self;
+        let mut pairs = msgs.drain(..);
+        for (&v, w) in dsts.iter().zip(starts.windows(2)) {
+            for pair in pairs.by_ref().take((w[1] - w[0]) as usize) {
+                f(v as usize, pair);
             }
-            f(dst, pair);
         }
-        // Hand the (now stale) boundary buffer back for reuse.
-        self.starts = starts;
-        self.starts.clear();
+        drop(pairs);
+        self.clear();
     }
 
     /// Converts into the nested [`Inboxes`] representation (allocates — the
     /// compatibility path used by [`crate::HybridNet::exchange`]).
     pub fn into_inboxes(mut self) -> Inboxes<M> {
-        let n = self.num_nodes();
-        let mut out: Inboxes<M> = (0..n).map(|_| Vec::new()).collect();
+        let mut out: Inboxes<M> = (0..self.n).map(|_| Vec::new()).collect();
         self.drain_into(|dst, pair| out[dst].push(pair));
         out
     }
 
-    /// Direct access to the underlying buffers: `(msgs, starts)`.
-    ///
-    /// `starts` has `n + 1` entries; destination `v` owns
-    /// `msgs[starts[v]..starts[v + 1]]`.
-    pub fn as_parts(&self) -> (&[(NodeId, M)], &[usize]) {
-        (&self.msgs, &self.starts)
-    }
-
-    /// Internal: mutable access for the exchange engine.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<(NodeId, M)>, &mut Vec<usize>) {
-        (&mut self.msgs, &mut self.starts)
+    /// Internal: records the network size and hands the exchange engine the
+    /// three buffers `(msgs, dsts, starts)`, which it fills together.
+    pub(crate) fn parts_mut(
+        &mut self,
+        n: usize,
+    ) -> (&mut Vec<(NodeId, M)>, &mut Vec<u32>, &mut Vec<u32>) {
+        self.n = n;
+        (&mut self.msgs, &mut self.dsts, &mut self.starts)
     }
 }
 
@@ -285,11 +292,12 @@ mod tests {
     fn flat_inboxes_roundtrip() {
         let mut f = FlatInboxes::new();
         {
-            let (msgs, starts) = f.parts_mut();
+            let (msgs, dsts, starts) = f.parts_mut(4);
             msgs.push((NodeId::new(2), 'a'));
             msgs.push((NodeId::new(5), 'b'));
             msgs.push((NodeId::new(0), 'c'));
-            starts.extend_from_slice(&[0, 0, 2, 3, 3]); // n = 4
+            dsts.extend_from_slice(&[1, 2]);
+            starts.extend_from_slice(&[0, 2, 3]);
         }
         assert_eq!(f.num_nodes(), 4);
         assert_eq!(f.len(), 3);
@@ -309,9 +317,10 @@ mod tests {
     fn drain_into_empties_but_keeps_capacity() {
         let mut f = FlatInboxes::new();
         {
-            let (msgs, starts) = f.parts_mut();
+            let (msgs, dsts, starts) = f.parts_mut(2);
             msgs.push((NodeId::new(1), 10u32));
             msgs.push((NodeId::new(2), 20u32));
+            dsts.extend_from_slice(&[0, 1]);
             starts.extend_from_slice(&[0, 1, 2]);
         }
         let cap_before = f.msgs.capacity();

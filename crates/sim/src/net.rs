@@ -4,12 +4,18 @@
 //! # Hot path
 //!
 //! [`HybridNet::exchange_into`] is the steady-state-allocation-free engine
-//! behind every global communication step: per-node send/receive counters live
-//! in a persistent scratch arena, message placement is a two-pass counting
-//! sort (stable radix by sender then destination — `O(m + n)` instead of the
-//! former `O(m log m)` comparison sort), and delivered messages land in a
-//! caller-reused [`FlatInboxes`] arena. The nested-`Vec` [`HybridNet::exchange`]
-//! remains as a convenience wrapper with identical observable behavior.
+//! behind every global communication step, and a round costs
+//! `O(m + n/64)` for `m` messages: per-node send/receive counters live in a
+//! persistent scratch arena beside two `n/64`-word bitsets that mark the
+//! nodes a batch touched, so the cap check, the load scans and the next
+//! batch's zeroing walk only those nodes (in ascending ID order, the order a
+//! dense `0..n` loop would visit them). Message placement is a stable
+//! two-pass counting sort (by sender, then destination) whose buckets are
+//! laid out by the same walk; a batch already in `(dst, src)` order skips
+//! the sort and moves in one pass. Delivered messages land in a
+//! caller-reused, destination-sparse [`FlatInboxes`] arena. The nested-`Vec`
+//! [`HybridNet::exchange`] remains as a convenience wrapper with identical
+//! observable behavior.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -22,7 +28,7 @@ use crate::config::{HybridConfig, OverflowPolicy};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::Metrics;
 use crate::par;
-use crate::trace::{Recorder, ShardTrace, TraceEvent};
+use crate::trace::{Recorder, TraceEvent};
 
 /// Errors of a simulated execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,35 +92,205 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Persistent per-net scratch buffers for the exchange engine. Sized once for
-/// `n` at construction; the permutation buffers grow to the largest batch seen
-/// and are reused afterwards, so steady-state exchanges never allocate.
+/// `n` at construction; the permutation buffer grows to the largest batch seen
+/// and is reused afterwards, so steady-state exchanges never allocate.
+///
+/// A counter is nonzero only on a node its bitset marks, and each batch
+/// zeroes the counters the previous one marked before counting its own —
+/// lazily, at the next count, so an error that returns midway through a
+/// batch leaves nothing stale for the exchange after it.
 #[derive(Debug, Default)]
 struct ExchangeScratch {
-    /// Per-node send counters (reused each exchange).
+    /// Per-node send counters of the last counted batch.
     sent: Vec<u32>,
-    /// Per-node receive counters (reused each exchange).
+    /// Per-node receive counters of the last counted batch.
     recv: Vec<u32>,
-    /// Counting-sort offsets, `n + 1` entries.
+    /// Nodes with a nonzero `sent` counter, one bit each.
+    senders: Vec<u64>,
+    /// Nodes with a nonzero `recv` counter, one bit each.
+    receivers: Vec<u64>,
+    /// Whether the last counted batch was already in `(dst, src)` order.
+    ordered: bool,
+    /// Counting-sort cursors; meaningful only on touched nodes.
     offs: Vec<u32>,
     /// First-pass permutation (message indices stable-sorted by sender).
     perm1: Vec<u32>,
     /// Shard cut points (node boundaries) of the thread-sharded scatter.
     cuts: Vec<u32>,
-    /// Per-destination budget bookkeeping for [`HybridNet::drain_queues`].
-    drain_recv: Vec<u32>,
 }
 
 impl ExchangeScratch {
     fn for_n(n: usize) -> Self {
+        let words = n.div_ceil(64);
         ExchangeScratch {
             sent: vec![0; n],
             recv: vec![0; n],
-            offs: vec![0; n + 1],
+            senders: vec![0; words],
+            receivers: vec![0; words],
+            ordered: true,
+            offs: vec![0; n],
             perm1: Vec::new(),
             cuts: Vec::new(),
-            drain_recv: vec![0; n],
         }
     }
+
+    /// Zeroes the counters the previous batch touched.
+    fn reset(&mut self) {
+        clear_marked(&mut self.senders, &mut self.sent);
+        clear_marked(&mut self.receivers, &mut self.recv);
+    }
+
+    /// Starts a new batch and counts the `(src, dst)` pairs into it, checking
+    /// each message's destination, then its sender, against the network
+    /// size `n`, and noting whether the batch is already in `(dst, src)`
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::AddressOutOfRange`] for the first bad endpoint.
+    fn count(
+        &mut self,
+        n: usize,
+        pairs: impl Iterator<Item = (NodeId, NodeId)>,
+    ) -> Result<(), SimError> {
+        self.reset();
+        let mut in_order = true;
+        // Consecutive messages between the same endpoints (a tree round
+        // sends several words down each edge) are counted as one run.
+        let (mut last, mut run) = ((0, 0), 0);
+        for (src, dst) in pairs {
+            if dst.index() >= n {
+                return Err(SimError::AddressOutOfRange { node: dst, n });
+            }
+            if src.index() >= n {
+                return Err(SimError::AddressOutOfRange { node: src, n });
+            }
+            let key = (dst.index(), src.index());
+            if run > 0 && key == last {
+                run += 1;
+                continue;
+            }
+            if run > 0 {
+                in_order &= last < key;
+                self.add_run(last, run);
+            }
+            (last, run) = (key, 1);
+        }
+        if run > 0 {
+            self.add_run(last, run);
+        }
+        self.ordered = in_order;
+        Ok(())
+    }
+
+    /// Counts `k` messages of the current batch on the edge `(dst, src)`.
+    fn add_run(&mut self, (d, s): (usize, usize), k: u32) {
+        mark(&mut self.sent, &mut self.senders, s, k);
+        mark(&mut self.recv, &mut self.receivers, d, k);
+    }
+
+    /// The NCC cap check of the counted batch: visits the touched nodes in
+    /// ascending ID order, checking each node's sends before its receives, so
+    /// under [`OverflowPolicy::Fail`] the error names the smallest violating
+    /// node. Returns the rounds the batch needs under
+    /// [`OverflowPolicy::Stretch`] (`max(1, ⌈sent / send_cap⌉, ⌈recv /
+    /// recv_cap⌉)` over all nodes) and the largest per-node send load.
+    fn check_caps(
+        &self,
+        send_cap: usize,
+        recv_cap: usize,
+        policy: OverflowPolicy,
+    ) -> Result<(u64, usize), SimError> {
+        let mut rounds = 1u64;
+        let mut max_sent = 0usize;
+        let touched = self.senders.iter().zip(&self.receivers).map(|(s, r)| s | r);
+        for v in ones(touched) {
+            let (sent, received) = (self.sent[v] as usize, self.recv[v] as usize);
+            max_sent = max_sent.max(sent);
+            if sent > send_cap {
+                if policy == OverflowPolicy::Fail {
+                    return Err(SimError::SendCapExceeded {
+                        node: NodeId::new(v),
+                        sent,
+                        cap: send_cap,
+                    });
+                }
+                rounds = rounds.max(sent.div_ceil(send_cap) as u64);
+            }
+            if received > recv_cap {
+                if policy == OverflowPolicy::Fail {
+                    return Err(SimError::RecvCapExceeded {
+                        node: NodeId::new(v),
+                        received,
+                        cap: recv_cap,
+                    });
+                }
+                rounds = rounds.max(received.div_ceil(recv_cap) as u64);
+            }
+        }
+        Ok((rounds, max_sent))
+    }
+}
+
+/// Adds `k` to node `v`'s counter and marks `v` in `bits`.
+fn mark(counts: &mut [u32], bits: &mut [u64], v: usize, k: u32) {
+    counts[v] += k;
+    bits[v / 64] |= 1 << (v % 64);
+}
+
+/// Zeroes the counters of the nodes marked in `bits` and clears the marks.
+fn clear_marked(bits: &mut [u64], counts: &mut [u32]) {
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut b = std::mem::take(word);
+        while b != 0 {
+            counts[w * 64 + b.trailing_zeros() as usize] = 0;
+            b &= b - 1;
+        }
+    }
+}
+
+/// The positions of the set bits of a bitset given word by word, ascending.
+fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    let mut words = words.enumerate();
+    let (mut base, mut b) = (0, 0u64);
+    std::iter::from_fn(move || {
+        while b == 0 {
+            let (w, word) = words.next()?;
+            (base, b) = (w * 64, word);
+        }
+        let v = base + b.trailing_zeros() as usize;
+        b &= b - 1;
+        Some(v)
+    })
+}
+
+/// Lays out the counting-sort buckets of the nodes marked in `bits`, in
+/// ascending ID order: node `v`'s bucket starts at `offs[v]` and holds
+/// `counts[v]` of the batch's `m` messages. `cuts` receives `shards + 1`
+/// node boundaries that split the messages into shards of roughly equal size
+/// (a shard owns whole buckets), and `visit(v, first slot, count)` sees each
+/// marked node in order.
+fn lay_out_buckets(
+    bits: &[u64],
+    counts: &[u32],
+    offs: &mut [u32],
+    m: usize,
+    shards: usize,
+    cuts: &mut Vec<u32>,
+    mut visit: impl FnMut(usize, u32, u32),
+) {
+    cuts.clear();
+    cuts.push(0);
+    let mut at = 0u32;
+    for v in ones(bits.iter().copied()) {
+        while cuts.len() < shards && at as usize >= m * cuts.len() / shards {
+            cuts.push(v as u32);
+        }
+        offs[v] = at;
+        visit(v, at, counts[v]);
+        at += counts[v];
+    }
+    cuts.resize(shards + 1, offs.len() as u32);
 }
 
 /// Messages a scatter shard must own before the thread-sharded exchange path
@@ -195,24 +371,6 @@ impl<T> TakePtr<T> {
 // SAFETY: see [`ShardPtr`]; additionally each slot is `ptr::read` at most once.
 unsafe impl<T: Send> Send for TakePtr<T> {}
 unsafe impl<T: Send> Sync for TakePtr<T> {}
-
-/// Splits the node buckets of a counting-sort prefix array into `shards`
-/// contiguous node ranges of roughly equal *message* counts. `prefix[v]` is
-/// the first slot of bucket `v`; the cut points (node indices, `shards + 1`
-/// entries) are appended to `cuts`.
-fn balanced_node_cuts(prefix: &[u32], n: usize, m: usize, shards: usize, cuts: &mut Vec<u32>) {
-    cuts.clear();
-    cuts.push(0);
-    let mut v = 0usize;
-    for s in 1..shards {
-        let target = (m * s / shards) as u32;
-        while v < n && prefix[v] < target {
-            v += 1;
-        }
-        cuts.push(v as u32);
-    }
-    cuts.push(n as u32);
-}
 
 /// Per-call pacing scratch of [`HybridNet::drain_queues`] — the reusable
 /// outbox and inbox arena of the drain loop. Pooled per payload type on the
@@ -618,57 +776,13 @@ impl<'g> HybridNet<'g> {
         }
         let m = outbox.len();
 
-        // Count per-node loads (and validate addresses) into the scratch arena.
-        let scratch = &mut self.scratch;
-        scratch.sent[..n].fill(0);
-        scratch.recv[..n].fill(0);
-        for e in outbox.iter() {
-            if e.dst.index() >= n {
-                return Err(SimError::AddressOutOfRange { node: e.dst, n });
-            }
-            if e.src.index() >= n {
-                return Err(SimError::AddressOutOfRange { node: e.src, n });
-            }
-            scratch.sent[e.src.index()] += 1;
-            scratch.recv[e.dst.index()] += 1;
-        }
-
-        let mut rounds_needed = 1u64;
-        for v in 0..n {
-            if scratch.sent[v] as usize > send_cap {
-                match self.config.overflow {
-                    OverflowPolicy::Fail => {
-                        return Err(SimError::SendCapExceeded {
-                            node: NodeId::new(v),
-                            sent: scratch.sent[v] as usize,
-                            cap: send_cap,
-                        });
-                    }
-                    OverflowPolicy::Stretch => {
-                        rounds_needed =
-                            rounds_needed.max((scratch.sent[v] as usize).div_ceil(send_cap) as u64);
-                    }
-                }
-            }
-            if scratch.recv[v] as usize > recv_cap {
-                match self.config.overflow {
-                    OverflowPolicy::Fail => {
-                        return Err(SimError::RecvCapExceeded {
-                            node: NodeId::new(v),
-                            received: scratch.recv[v] as usize,
-                            cap: recv_cap,
-                        });
-                    }
-                    OverflowPolicy::Stretch => {
-                        rounds_needed =
-                            rounds_needed.max((scratch.recv[v] as usize).div_ceil(recv_cap) as u64);
-                    }
-                }
-            }
-        }
+        // Count per-node loads (and validate addresses) into the scratch
+        // arena, then apply the cap policy.
+        self.scratch.count(n, outbox.iter().map(|e| (e.src, e.dst)))?;
+        let (rounds_needed, max_sent) =
+            self.scratch.check_caps(send_cap, recv_cap, self.config.overflow)?;
 
         // Metrics: loads, cut traffic.
-        let max_sent = scratch.sent[..n].iter().copied().max().unwrap_or(0) as usize;
         self.metrics.max_send_load = self.metrics.max_send_load.max(max_sent);
         if let Some(side) = &self.cut {
             let crossing =
@@ -677,14 +791,14 @@ impl<'g> HybridNet<'g> {
         }
         self.metrics.charge_global(rounds_needed, m as u64, phase);
 
-        let st = self.scatter_into(outbox, out);
+        let max_recv_load = self.scatter_into(outbox, out);
         if let Some(t) = self.trace.as_mut() {
             t.record(TraceEvent::Exchange {
                 phase: phase.to_string(),
                 rounds: rounds_needed,
                 messages: m as u64,
                 max_send_load: max_sent as u64,
-                max_recv_load: st.max_recv_load,
+                max_recv_load,
                 lost,
                 suppressed,
                 corrupted,
@@ -721,14 +835,7 @@ impl<'g> HybridNet<'g> {
         // Validate every address upfront: an error must leave `outbox`
         // untouched, and the wave loop permanently consumes fault-stream
         // state, so nothing below may fail on a healthy configuration.
-        for e in outbox.iter() {
-            if e.dst.index() >= n {
-                return Err(SimError::AddressOutOfRange { node: e.dst, n });
-            }
-            if e.src.index() >= n {
-                return Err(SimError::AddressOutOfRange { node: e.src, n });
-            }
-        }
+        self.scratch.count(n, outbox.iter().map(|e| (e.src, e.dst)))?;
         let m = outbox.len();
         if m == 0 {
             // An empty exchange still costs its round, like the unreliable
@@ -789,47 +896,13 @@ impl<'g> HybridNet<'g> {
             }
 
             // Per-node loads and the cap policy, over the wire batch only.
-            let scratch = &mut self.scratch;
-            scratch.sent[..n].fill(0);
-            scratch.recv[..n].fill(0);
-            for &idx in &rel.attempted {
+            let wire = rel.attempted.iter().map(|&idx| {
                 let e = &outbox[idx as usize];
-                scratch.sent[e.src.index()] += 1;
-                scratch.recv[e.dst.index()] += 1;
-            }
-            let mut rounds_needed = 1u64;
-            for v in 0..n {
-                if scratch.sent[v] as usize > send_cap {
-                    match self.config.overflow {
-                        OverflowPolicy::Fail => {
-                            return Err(SimError::SendCapExceeded {
-                                node: NodeId::new(v),
-                                sent: scratch.sent[v] as usize,
-                                cap: send_cap,
-                            });
-                        }
-                        OverflowPolicy::Stretch => {
-                            rounds_needed = rounds_needed
-                                .max((scratch.sent[v] as usize).div_ceil(send_cap) as u64);
-                        }
-                    }
-                }
-                if scratch.recv[v] as usize > recv_cap {
-                    match self.config.overflow {
-                        OverflowPolicy::Fail => {
-                            return Err(SimError::RecvCapExceeded {
-                                node: NodeId::new(v),
-                                received: scratch.recv[v] as usize,
-                                cap: recv_cap,
-                            });
-                        }
-                        OverflowPolicy::Stretch => {
-                            rounds_needed = rounds_needed
-                                .max((scratch.recv[v] as usize).div_ceil(recv_cap) as u64);
-                        }
-                    }
-                }
-            }
+                (e.src, e.dst)
+            });
+            self.scratch.count(n, wire)?;
+            let (rounds_needed, max_sent) =
+                self.scratch.check_caps(send_cap, recv_cap, self.config.overflow)?;
 
             // Commit this wave's bill: suppressions, loads, cut traffic,
             // retransmissions, the wire rounds, and one round of acks.
@@ -859,7 +932,6 @@ impl<'g> HybridNet<'g> {
                 }
                 break;
             }
-            let max_sent = scratch.sent[..n].iter().copied().max().unwrap_or(0) as usize;
             metrics.max_send_load = metrics.max_send_load.max(max_sent);
             if let Some(side) = &self.cut {
                 let crossing = rel
@@ -954,40 +1026,35 @@ impl<'g> HybridNet<'g> {
             i += 1;
             keep
         });
-        let scratch = &mut self.scratch;
-        scratch.recv[..n].fill(0);
-        for e in outbox.iter() {
-            scratch.recv[e.dst.index()] += 1;
-        }
+        self.scratch.count(n, outbox.iter().map(|e| (e.src, e.dst)))?;
         let delivered = outbox.len() as u64;
-        let st = self.scatter_into(outbox, out);
+        let max_recv_load = self.scatter_into(outbox, out);
         if let Some(t) = self.trace.as_mut() {
-            t.record(TraceEvent::Delivered {
-                messages: delivered,
-                max_recv_load: st.max_recv_load,
-            });
+            t.record(TraceEvent::Delivered { messages: delivered, max_recv_load });
         }
         Ok(())
     }
 
     /// Shared delivery engine of [`HybridNet::exchange_into`] and the
     /// reliable layer: sorts `outbox` by `(dst, src, insertion order)` and
-    /// moves the payloads into `out`. Expects all addresses validated and
-    /// `scratch.recv` to hold `outbox`'s per-destination counts (for
-    /// receive-load recording); charges nothing. Returns the receive-side
-    /// trace observations (sequential scan, or the per-shard buffers merged
-    /// in shard order — bit-identical either way).
+    /// moves the payloads into `out`. Expects the scratch arena to hold
+    /// `outbox`'s counted loads (addresses validated); charges nothing but
+    /// records each destination's receive load, in ascending ID order.
+    /// Returns the largest receive load.
     fn scatter_into<M: Send + Sync>(
         &mut self,
         outbox: &mut Vec<Envelope<M>>,
         out: &mut FlatInboxes<M>,
-    ) -> ShardTrace {
+    ) -> u64 {
         let n = self.graph.len();
         let m = outbox.len();
         // Deliver: stable two-pass counting sort by (dst, src, insertion order)
         // — radix pass 1 orders by sender, pass 2 groups by destination and
         // moves the payloads in one fused scatter; both passes are stable, so
         // the result matches a stable comparison sort on `(dst, src)` exactly.
+        // Both passes lay out their buckets by walking only the touched
+        // nodes. A batch already in `(dst, src)` order is its own sort and
+        // moves in one pass.
         //
         // For large batches (≥ 2 shards of [`PAR_MIN_SHARD_MESSAGES`]) with a
         // round-thread budget > 1, both scatters are partitioned into node
@@ -1002,86 +1069,85 @@ impl<'g> HybridNet<'g> {
         // parallelized payload moves. An oversubscribed budget (more threads
         // than cores, e.g. the determinism suite on a 1-core box) does
         // strictly redundant work, which is the explicit point there.
-        let shards = if self.round_threads > 1 {
-            self.round_threads.min(m / PAR_MIN_SHARD_MESSAGES).max(1)
-        } else {
+        let ExchangeScratch { sent, recv, senders, receivers, ordered, offs, perm1, cuts, .. } =
+            &mut self.scratch;
+        let shards = if *ordered || self.round_threads <= 1 {
             1
+        } else {
+            self.round_threads.min(m / PAR_MIN_SHARD_MESSAGES).max(1)
         };
 
         // Pass 1: message indices, stable-ordered by sender.
-        let ExchangeScratch { offs, perm1, cuts, recv, .. } = &mut self.scratch;
-        offs[..=n].fill(0);
-        for e in outbox.iter() {
-            offs[e.src.index() + 1] += 1;
-        }
-        for v in 0..n {
-            offs[v + 1] += offs[v];
-        }
-        perm1.clear();
-        perm1.resize(m, 0);
-        if shards <= 1 {
-            for (i, e) in outbox.iter().enumerate() {
-                let s = e.src.index();
-                perm1[offs[s] as usize] = i as u32;
-                offs[s] += 1;
-            }
-        } else {
-            balanced_node_cuts(offs, n, m, shards, cuts);
-            let offs_ptr = ShardPtr(offs.as_mut_ptr());
-            let perm_ptr = ShardPtr(perm1.as_mut_ptr());
-            let outbox_ref: &[Envelope<M>] = outbox;
-            std::thread::scope(|scope| {
-                for w in cuts.windows(2) {
-                    let (lo, hi) = (w[0] as usize, w[1] as usize);
-                    scope.spawn(move || {
-                        for (i, e) in outbox_ref.iter().enumerate() {
-                            let s = e.src.index();
-                            if s >= lo && s < hi {
-                                // SAFETY: sender buckets `lo..hi` (cursor
-                                // cells and the perm1 region they index) are
-                                // owned by this shard alone.
-                                unsafe {
-                                    let cursor = offs_ptr.at(s);
-                                    *perm_ptr.at(*cursor as usize) = i as u32;
-                                    *cursor += 1;
+        if !*ordered {
+            lay_out_buckets(senders, sent, offs, m, shards, cuts, |_, _, _| {});
+            perm1.clear();
+            perm1.resize(m, 0);
+            if shards <= 1 {
+                for (i, e) in outbox.iter().enumerate() {
+                    let s = e.src.index();
+                    perm1[offs[s] as usize] = i as u32;
+                    offs[s] += 1;
+                }
+            } else {
+                let offs_ptr = ShardPtr(offs.as_mut_ptr());
+                let perm_ptr = ShardPtr(perm1.as_mut_ptr());
+                let outbox_ref: &[Envelope<M>] = outbox;
+                std::thread::scope(|scope| {
+                    for w in cuts.windows(2) {
+                        let (lo, hi) = (w[0] as usize, w[1] as usize);
+                        scope.spawn(move || {
+                            for (i, e) in outbox_ref.iter().enumerate() {
+                                let s = e.src.index();
+                                if s >= lo && s < hi {
+                                    // SAFETY: sender buckets `lo..hi` (cursor
+                                    // cells and the perm1 region they index) are
+                                    // owned by this shard alone.
+                                    unsafe {
+                                        let cursor = offs_ptr.at(s);
+                                        *perm_ptr.at(*cursor as usize) = i as u32;
+                                        *cursor += 1;
+                                    }
                                 }
                             }
-                        }
-                    });
-                }
-            });
+                        });
+                    }
+                });
+            }
+        }
+
+        // Destination buckets, the sparse inbox index and the receive loads,
+        // in ascending destination order.
+        let (msgs, dsts, starts) = out.parts_mut(n);
+        let touched = receivers.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        dsts.reserve(touched);
+        starts.reserve(touched + 1);
+        msgs.reserve(m);
+        let mut max_recv_load = 0u64;
+        let metrics = &mut self.metrics;
+        lay_out_buckets(receivers, recv, offs, m, shards, cuts, |v, at, load| {
+            metrics.record_recv_load(load as usize);
+            max_recv_load = max_recv_load.max(u64::from(load));
+            dsts.push(v as u32);
+            starts.push(at);
+        });
+        starts.push(m as u32);
+        if *ordered {
+            msgs.extend(outbox.drain(..).map(|e| (e.src, e.msg)));
+            return max_recv_load;
         }
 
         // Pass 2: group by destination and move payloads into the arena.
-        offs[..=n].fill(0);
-        for e in outbox.iter() {
-            offs[e.dst.index() + 1] += 1;
-        }
-        for v in 0..n {
-            offs[v + 1] += offs[v];
-        }
-        let (msgs, starts) = out.parts_mut();
-        starts.clear();
-        starts.extend(offs[..=n].iter().map(|&o| o as usize));
-        msgs.reserve(m);
         // SAFETY (both branches): `perm1` is a permutation of `0..m` and each
         // destination bucket is drained by exactly one scan, so every element
         // is read exactly once and every output slot in `0..m` is written
         // exactly once. `outbox`'s length is zeroed before any move and
         // `msgs`'s length is only set after all writes, so a panic leaks
         // elements instead of double-dropping them.
-        let mut st = ShardTrace::default();
         unsafe {
             let base = TakePtr(outbox.as_ptr());
             outbox.set_len(0);
             let out_ptr = ShardPtr(msgs.as_mut_ptr());
             if shards <= 1 {
-                for v in 0..n {
-                    if recv[v] > 0 {
-                        self.metrics.record_recv_load(recv[v] as usize);
-                        st.observe(recv[v] as usize);
-                    }
-                }
                 for &i in perm1.iter() {
                     let e = std::ptr::read(base.0.add(i as usize));
                     let d = e.dst.index();
@@ -1089,66 +1155,35 @@ impl<'g> HybridNet<'g> {
                     offs[d] += 1;
                 }
             } else {
-                balanced_node_cuts(offs, n, m, shards, cuts);
                 let offs_ptr = ShardPtr(offs.as_mut_ptr());
                 let perm1_ref: &[u32] = perm1;
-                let recv_ref: &[u32] = recv;
-                // Each receiver shard scatters its buckets and records its
-                // nodes' receive loads into a local `Metrics` plus a local
-                // trace buffer; both locals are merged in shard order below,
-                // which reproduces the sequential `v = 0..n` recording
-                // exactly.
-                let shard_metrics: Vec<(Metrics, ShardTrace)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = cuts
-                        .windows(2)
-                        .map(|w| {
-                            let (lo, hi) = (w[0] as usize, w[1] as usize);
-                            scope.spawn(move || {
-                                let mut local = Metrics::new();
-                                let mut local_trace = ShardTrace::default();
-                                for v in lo..hi {
-                                    if recv_ref[v] > 0 {
-                                        local.record_recv_load(recv_ref[v] as usize);
-                                        local_trace.observe(recv_ref[v] as usize);
-                                    }
+                std::thread::scope(|scope| {
+                    for w in cuts.windows(2) {
+                        let (lo, hi) = (w[0] as usize, w[1] as usize);
+                        scope.spawn(move || {
+                            for &i in perm1_ref {
+                                // SAFETY: only the shard owning bucket `d`
+                                // moves message `i` (dst buckets partition the
+                                // messages) and writes the slots `offs[d]..` of
+                                // its own buckets; peeking another shard's
+                                // `dst` is a plain concurrent read. (This
+                                // closure is lexically inside the delivery
+                                // `unsafe` block.)
+                                let d = (*base.at(i as usize)).dst.index();
+                                if d >= lo && d < hi {
+                                    let e = std::ptr::read(base.at(i as usize));
+                                    let cursor = offs_ptr.at(d);
+                                    std::ptr::write(out_ptr.at(*cursor as usize), (e.src, e.msg));
+                                    *cursor += 1;
                                 }
-                                for &i in perm1_ref {
-                                    // SAFETY: only the shard owning bucket
-                                    // `d` moves message `i` (dst buckets
-                                    // partition the messages) and writes the
-                                    // slots `offs[d]..` of its own buckets;
-                                    // peeking another shard's `dst` is a
-                                    // plain concurrent read. (This closure is
-                                    // lexically inside the delivery `unsafe`
-                                    // block.)
-                                    let d = (*base.at(i as usize)).dst.index();
-                                    if d >= lo && d < hi {
-                                        let e = std::ptr::read(base.at(i as usize));
-                                        let cursor = offs_ptr.at(d);
-                                        std::ptr::write(
-                                            out_ptr.at(*cursor as usize),
-                                            (e.src, e.msg),
-                                        );
-                                        *cursor += 1;
-                                    }
-                                }
-                                (local, local_trace)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("exchange shard panicked"))
-                        .collect()
+                            }
+                        });
+                    }
                 });
-                for (local, local_trace) in &shard_metrics {
-                    self.metrics.absorb(local);
-                    st.absorb(local_trace);
-                }
             }
             msgs.set_len(m);
         }
-        st
+        max_recv_load
     }
 
     /// Performs one global-mode communication step: delivers `outbox` subject to
@@ -1259,17 +1294,19 @@ impl<'g> HybridNet<'g> {
         let mut start_q = 0usize;
         loop {
             outbox.clear();
-            let drain_recv = &mut self.scratch.drain_recv;
-            drain_recv[..n].fill(0);
+            // The round's receive budget is counted in the exchange scratch,
+            // which the exchange below recounts anyway.
+            let scratch = &mut self.scratch;
+            scratch.reset();
             queues.take_paced(start_q, cap, outbox, |head| {
                 let d = head.dst.index();
                 if d >= n {
                     return Err(SimError::AddressOutOfRange { node: head.dst, n });
                 }
-                if pace_receivers && drain_recv[d] as usize >= recv_cap {
+                if pace_receivers && scratch.recv[d] as usize >= recv_cap {
                     return Ok(false);
                 }
-                drain_recv[d] += 1;
+                mark(&mut scratch.recv, &mut scratch.receivers, d, 1);
                 Ok(true)
             })?;
             if outbox.is_empty() {
@@ -1290,6 +1327,11 @@ mod tests {
 
     fn net(g: &Graph) -> HybridNet<'_> {
         HybridNet::new(g, HybridConfig::default())
+    }
+
+    /// Every non-empty inbox of `flat` with its destination, in order.
+    fn listed<M: Clone>(flat: &FlatInboxes<M>) -> Vec<(usize, Vec<(NodeId, M)>)> {
+        flat.iter().map(|(d, msgs)| (d, msgs.to_vec())).collect()
     }
 
     #[test]
@@ -1369,36 +1411,256 @@ mod tests {
         assert_eq!(inboxes[0], vec![(NodeId::new(2), 'a'), (NodeId::new(5), 'b')]);
     }
 
+    /// SplitMix64 finaliser: a deterministic scramble for test batches.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A test message: payload `(index, salt)`.
+    type Msg = Envelope<(u64, u64)>;
+
+    /// `m` messages between nodes drawn from `lo..n`; every fifth repeats
+    /// the previous message's endpoints, so ties are common.
+    fn scrambled(salt: u64, m: u64, lo: usize, n: usize) -> Vec<Msg> {
+        let span = (n - lo) as u64;
+        let mut out: Vec<Msg> = Vec::new();
+        for i in 0..m {
+            let h = mix(salt << 32 | i);
+            let (s, d) = match out.last() {
+                Some(e) if i % 5 == 4 => (e.src, e.dst),
+                _ => (
+                    NodeId::new(lo + (h % span) as usize),
+                    NodeId::new(lo + (h >> 32) as usize % span as usize),
+                ),
+            };
+            out.push(Envelope::new(s, d, (i, salt)));
+        }
+        out
+    }
+
+    /// Per-node send and receive counts of `outbox`, counted densely.
+    fn dense_loads<M>(outbox: &[Envelope<M>], n: usize) -> (Vec<usize>, Vec<usize>) {
+        let (mut sent, mut recv) = (vec![0; n], vec![0; n]);
+        for e in outbox {
+            sent[e.src.index()] += 1;
+            recv[e.dst.index()] += 1;
+        }
+        (sent, recv)
+    }
+
     #[test]
     fn counting_sort_matches_reference_comparison_sort() {
         // Equivalence oracle: the former implementation's stable
         // `sort_by_key(|e| (e.dst, e.src))` placement, computed independently,
-        // must agree byte-for-byte with the radix engine — including ties
-        // (several messages with the same (src, dst) keep insertion order).
-        let g = path(16, 1).unwrap();
-        let mk_outbox = |salt: u64| -> Vec<Envelope<(u64, u64)>> {
-            // Deterministic scramble with duplicates and self-sends.
-            (0..48u64)
-                .map(|i| {
-                    let s = ((i * 7 + salt) % 16) as usize;
-                    let d = ((i * 5 + 3 * salt) % 16) as usize;
-                    Envelope::new(NodeId::new(s), NodeId::new(d), (i, salt))
+        // must agree byte-for-byte with the engine — including ties (several
+        // messages with the same (src, dst) keep insertion order) — and the
+        // exchange's trace event must carry the loads and rounds a dense
+        // count gives. n = 150 spans three bitset words. The batches are
+        // dense, sparse, confined to the last word, empty, already in
+        // (dst, src) order (the one-pass move) and ordered but for one
+        // adjacent pair swapped across two destinations or within one (back
+        // on the counting sort); all run in a row on one net and one inbox
+        // arena, so each also shows that the previous batch left no stale
+        // counts behind.
+        let n = 150;
+        let g = path(n, 1).unwrap();
+        let mut net = net(&g);
+        net.set_trace(Recorder::new());
+        let (send_cap, recv_cap) = (net.send_cap(), net.recv_cap());
+        let mut flat = FlatInboxes::new();
+        for salt in 0..4u64 {
+            let mut ordered = scrambled(salt, 300, 0, n);
+            ordered.sort_by_key(|e| (e.dst, e.src));
+            let swap_first = |differ: fn(&Msg, &Msg) -> bool| {
+                let mut batch = ordered.clone();
+                let p = (0..299).find(|&p| differ(&batch[p], &batch[p + 1])).unwrap();
+                batch.swap(p, p + 1);
+                batch
+            };
+            let across = swap_first(|a, b| a.dst != b.dst);
+            let within = swap_first(|a, b| a.dst == b.dst && a.src != b.src);
+            let batches = [
+                scrambled(salt, 600, 0, n),
+                scrambled(salt, 5, 0, n),
+                scrambled(salt, 20, 128, n),
+                Vec::new(),
+                ordered,
+                across,
+                within,
+            ];
+            for (k, outbox) in batches.into_iter().enumerate() {
+                let mut sorted = outbox.clone();
+                sorted.sort_by_key(|e| (e.dst, e.src));
+                let mut reference: Inboxes<(u64, u64)> = (0..n).map(|_| Vec::new()).collect();
+                for e in sorted {
+                    reference[e.dst.index()].push((e.src, e.msg));
+                }
+                let (sent, recv) = dense_loads(&outbox, n);
+                let (max_sent, max_recv) =
+                    (sent.iter().copied().max().unwrap(), recv.iter().copied().max().unwrap());
+                let rounds =
+                    1.max(max_sent.div_ceil(send_cap)).max(max_recv.div_ceil(recv_cap)) as u64;
+                let m = outbox.len();
+                let mut outbox = outbox;
+                net.exchange_into("t", &mut outbox, &mut flat).unwrap();
+                let case = format!("salt {salt}, batch {k}");
+                assert_eq!(flat.num_nodes(), n, "{case}");
+                assert_eq!(flat.len(), m, "{case}");
+                let got: Inboxes<(u64, u64)> = (0..n).map(|v| flat.node(v).to_vec()).collect();
+                assert_eq!(got, reference, "{case}");
+                let nonempty: Vec<_> = reference
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, inbox)| !inbox.is_empty())
+                    .collect();
+                assert_eq!(listed(&flat), nonempty, "{case}");
+                let rec = net.take_trace().unwrap();
+                let want = TraceEvent::Exchange {
+                    phase: "t".into(),
+                    rounds,
+                    messages: m as u64,
+                    max_send_load: max_sent as u64,
+                    max_recv_load: max_recv as u64,
+                    lost: 0,
+                    suppressed: 0,
+                    corrupted: 0,
+                };
+                assert_eq!(rec.events().last(), Some(&want), "{case}");
+                net.set_trace(rec);
+            }
+        }
+    }
+
+    #[test]
+    fn fail_policy_names_the_smallest_violator_send_first() {
+        // Batches with several cap violators: the sparse cap check must
+        // report what a dense `0..n` scan does — the smallest violating ID,
+        // with a node's sends checked before its receives. The batches run
+        // in a row on one net, each after a failed one.
+        let n = 200;
+        let g = path(n, 1).unwrap();
+        let mut net = HybridNet::new(&g, HybridConfig::strict());
+        let (send_cap, recv_cap) = (net.send_cap(), net.recv_cap());
+        let dense_first_violation = |outbox: &[Envelope<u64>]| {
+            let (sent, recv) = dense_loads(outbox, n);
+            (0..n).find_map(|v| {
+                let node = NodeId::new(v);
+                if sent[v] > send_cap {
+                    Some(SimError::SendCapExceeded { node, sent: sent[v], cap: send_cap })
+                } else if recv[v] > recv_cap {
+                    Some(SimError::RecvCapExceeded { node, received: recv[v], cap: recv_cap })
+                } else {
+                    None
+                }
+            })
+        };
+        // `k` messages from `s`, to `d` or (with `d = None`) spread around.
+        let burst = |s: usize, d: Option<usize>, k: usize| -> Vec<Envelope<u64>> {
+            (0..k)
+                .map(|j| {
+                    let d = d.unwrap_or((s + 1 + 7 * j) % n);
+                    Envelope::new(NodeId::new(s), NodeId::new(d), j as u64)
                 })
                 .collect()
         };
-        for salt in 0..8 {
-            let outbox = mk_outbox(salt);
-            // Reference path: stable comparison sort, grouped by destination.
-            let mut reference: Inboxes<(u64, u64)> = (0..16).map(|_| Vec::new()).collect();
-            let mut sorted = outbox.clone();
-            sorted.sort_by_key(|e| (e.dst, e.src));
-            for e in sorted {
-                reference[e.dst.index()].push((e.src, e.msg));
-            }
-            // Engine path.
-            let mut net = net(&g);
-            let inboxes = net.exchange("t", outbox).unwrap();
-            assert_eq!(inboxes, reference, "salt {salt}");
+        // `k` messages into `d`, one from each of `k` senders from `from` on.
+        let fan_in = |d: usize, from: usize, k: usize| -> Vec<Envelope<u64>> {
+            (0..k).map(|j| Envelope::new(NodeId::new((from + j) % n), NodeId::new(d), 0)).collect()
+        };
+        let mut batches: Vec<Vec<Envelope<u64>>> = vec![
+            // Three senders over the cap; 70 is the smallest.
+            [
+                burst(190, None, send_cap + 1),
+                burst(70, None, send_cap + 2),
+                burst(130, None, send_cap + 1),
+            ]
+            .concat(),
+            // A receiver over the cap below a sender over the cap.
+            [burst(100, None, send_cap + 1), fan_in(64, 110, recv_cap + 1)].concat(),
+            // Node 127 over both caps: its sends are reported first.
+            [
+                fan_in(150, 0, recv_cap + 3),
+                burst(127, None, send_cap + 1),
+                fan_in(127, 0, recv_cap + 1),
+            ]
+            .concat(),
+            // The last node of the last word.
+            [burst(199, Some(198), send_cap + 1), fan_in(199, 20, recv_cap + 1)].concat(),
+        ];
+        // Skewed random batches with many violators.
+        for salt in 0..8u64 {
+            batches.push(
+                (0..1200u64)
+                    .map(|i| {
+                        let h = mix(salt << 32 | i);
+                        let s = if h.is_multiple_of(3) {
+                            (h >> 8) as usize % 12 * 16
+                        } else {
+                            (h >> 8) as usize % n
+                        };
+                        let d = if h.is_multiple_of(5) {
+                            3 + (h >> 40) as usize % 6 * 31
+                        } else {
+                            (h >> 40) as usize % n
+                        };
+                        Envelope::new(NodeId::new(s), NodeId::new(d), i)
+                    })
+                    .collect(),
+            );
+        }
+        for (k, batch) in batches.into_iter().enumerate() {
+            let want = dense_first_violation(&batch).expect("every batch violates a cap");
+            let err = net.exchange("t", batch).unwrap_err();
+            assert_eq!(err, want, "batch {k}");
+        }
+        assert_eq!(net.rounds(), 0, "a failed exchange charges nothing");
+    }
+
+    #[test]
+    fn the_exchange_after_a_failed_one_matches_a_fresh_net() {
+        // An error partway through a batch leaves its counts behind; the next
+        // exchange on the same net must still deliver, charge and trace
+        // exactly what it does on a fresh net.
+        let n = 150;
+        let g = path(n, 1).unwrap();
+        let env =
+            |s: usize, d: usize| Envelope::new(NodeId::new(s), NodeId::new(d), (s * n + d) as u32);
+        // Node 5 floods its neighbours, then one message is misaddressed.
+        let mut misaddressed: Vec<_> = (0..20).map(|j| env(5, 6 + j)).collect();
+        misaddressed.push(Envelope::new(NodeId::new(140), NodeId::new(999), 0));
+        misaddressed.extend((0..10).map(|j| env(130 + j, 9)));
+        let over_send: Vec<_> = (0..12).map(|j| env(5, 20 + j)).collect();
+        let over_recv: Vec<_> = (0..40).map(|j| env(60 + j, 9)).collect();
+        // Touches the nodes the failed batches loaded.
+        let follow_up = || vec![env(5, 6), env(5, 9), env(140, 5), env(131, 9), env(7, 140)];
+        let cases = [
+            ("misaddressed", HybridConfig::default(), false, misaddressed.clone()),
+            ("misaddressed, reliable", HybridConfig::default(), true, misaddressed),
+            ("over the send cap", HybridConfig::strict(), false, over_send),
+            ("over the receive cap", HybridConfig::strict(), false, over_recv),
+        ];
+        for (name, config, reliable, bad) in cases {
+            let run = |fail_first: bool| {
+                let mut net = HybridNet::new(&g, config);
+                if reliable {
+                    net.inject_faults(&crate::fault::FaultPlan::drops(0.2, 9)).unwrap();
+                    net.set_reliable(true);
+                }
+                net.set_trace(Recorder::new());
+                let mut flat = FlatInboxes::new();
+                if fail_first {
+                    let mut outbox = bad.clone();
+                    net.exchange_into("t", &mut outbox, &mut flat).unwrap_err();
+                }
+                let mut outbox = follow_up();
+                net.exchange_into("t", &mut outbox, &mut flat).unwrap();
+                let events = net.take_trace().unwrap().events_sans_wall();
+                (listed(&flat), format!("{:?}", net.metrics()), events)
+            };
+            assert_eq!(run(true), run(false), "{name}");
         }
     }
 
@@ -1573,14 +1835,12 @@ mod tests {
             let mut outbox = mk_outbox();
             let mut flat = FlatInboxes::new();
             net.exchange_into("t", &mut outbox, &mut flat).unwrap();
-            let (msgs, starts) = flat.as_parts();
-            (msgs.to_vec(), starts.to_vec(), net.rounds(), net.metrics().clone())
+            (listed(&flat), net.rounds(), net.metrics().clone())
         };
-        let (seq_msgs, seq_starts, seq_rounds, seq_metrics) = run(1);
+        let (seq_inboxes, seq_rounds, seq_metrics) = run(1);
         for threads in [2, 4, 7] {
-            let (par_msgs, par_starts, par_rounds, par_metrics) = run(threads);
-            assert_eq!(par_msgs, seq_msgs, "threads = {threads}");
-            assert_eq!(par_starts, seq_starts, "threads = {threads}");
+            let (par_inboxes, par_rounds, par_metrics) = run(threads);
+            assert_eq!(par_inboxes, seq_inboxes, "threads = {threads}");
             assert_eq!(par_rounds, seq_rounds, "threads = {threads}");
             assert_eq!(par_metrics.recv_load_hist, seq_metrics.recv_load_hist);
             assert_eq!(par_metrics.max_recv_load, seq_metrics.max_recv_load);
@@ -1937,14 +2197,12 @@ mod tests {
                 .collect();
             let mut flat = FlatInboxes::new();
             net.exchange_into("t", &mut outbox, &mut flat).unwrap();
-            let (msgs, starts) = flat.as_parts();
-            (msgs.to_vec(), starts.to_vec(), net.rounds(), net.metrics().clone())
+            (listed(&flat), net.rounds(), net.metrics().clone())
         };
-        let (seq_msgs, seq_starts, seq_rounds, seq_m) = run(1);
+        let (seq_inboxes, seq_rounds, seq_m) = run(1);
         for threads in [2, 4] {
-            let (par_msgs, par_starts, par_rounds, par_m) = run(threads);
-            assert_eq!(par_msgs, seq_msgs, "threads = {threads}");
-            assert_eq!(par_starts, seq_starts, "threads = {threads}");
+            let (par_inboxes, par_rounds, par_m) = run(threads);
+            assert_eq!(par_inboxes, seq_inboxes, "threads = {threads}");
             assert_eq!(par_rounds, seq_rounds, "threads = {threads}");
             assert_eq!(par_m.retransmissions, seq_m.retransmissions);
             assert_eq!(par_m.dropped_by_loss, seq_m.dropped_by_loss);

@@ -768,29 +768,6 @@ impl Recorder {
     }
 }
 
-/// Per-shard receive-side observations of one exchange's scatter. The
-/// thread-sharded path fills one per shard and merges them **in shard
-/// order** (exactly like the per-shard `Metrics` are absorbed), so the
-/// merged result is bit-identical to the sequential scan — max is
-/// associative, and the shard ranges partition the nodes in index order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ShardTrace {
-    /// Largest per-node receive load seen by this shard.
-    pub max_recv_load: u64,
-}
-
-impl ShardTrace {
-    /// Records one node's receive load.
-    pub fn observe(&mut self, load: usize) {
-        self.max_recv_load = self.max_recv_load.max(load as u64);
-    }
-
-    /// Merges another shard's observations (shard-order merge).
-    pub fn absorb(&mut self, other: &ShardTrace) {
-        self.max_recv_load = self.max_recv_load.max(other.max_recv_load);
-    }
-}
-
 fn escape(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
@@ -977,21 +954,6 @@ mod tests {
         // The outer span covers the inner one's rounds plus its own.
         let solve_line = text.lines().find(|l| l.contains("solve:apsp")).unwrap();
         assert!(solve_line.contains("rounds        7"), "{solve_line}");
-    }
-
-    #[test]
-    fn shard_trace_merge_is_order_independent_max() {
-        let mut a = ShardTrace::default();
-        a.observe(3);
-        a.observe(1);
-        let mut b = ShardTrace::default();
-        b.observe(7);
-        let mut ab = a;
-        ab.absorb(&b);
-        let mut ba = b;
-        ba.absorb(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.max_recv_load, 7);
     }
 
     #[test]

@@ -297,6 +297,66 @@ fn exchange_with_tracing_disabled_stays_allocation_free() {
     assert_eq!(net.rounds(), 106);
 }
 
+/// At n = 2400 a round costs time in its messages and allocates nothing
+/// once warm: neither a 16-message exchange, which touches a few nodes out
+/// of 2,400, nor a 6,000-message tree round already in `(dst, src)` order
+/// (the seed broadcast's shape), which moves in one pass and never shards.
+#[test]
+fn sparse_and_ordered_rounds_at_n_2400_are_allocation_free() {
+    measure_this_thread();
+    let n = 2400;
+    let g = path(n, 1).expect("graph");
+    let mut net = HybridNet::new(&g, HybridConfig::default());
+    let mut outbox: Vec<Envelope<u64>> = Vec::new();
+    let mut inbox: FlatInboxes<u64> = FlatInboxes::new();
+    // 16 distinct senders and 16 distinct receivers, moving every round,
+    // in descending destination order so every round takes the counting
+    // sort.
+    let sparse = |outbox: &mut Vec<Envelope<u64>>, round: usize| {
+        for j in (0..16).rev() {
+            let s = (round * 131 + j * 149) % n;
+            let d = (round * 37 + j * 151 + 1) % n;
+            outbox.push(Envelope::new(NodeId::new(s), NodeId::new(d), j as u64));
+        }
+    };
+    // Nodes 1..=1000 each hear 6 words from their tree parent.
+    let tree = |outbox: &mut Vec<Envelope<u64>>, round: usize| {
+        for c in 1..=1000 {
+            for w in 0..6 {
+                let word = (round * 8 + w) as u64;
+                outbox.push(Envelope::new(NodeId::new((c - 1) / 2), NodeId::new(c), word));
+            }
+        }
+    };
+
+    for round in 0..3 {
+        sparse(&mut outbox, round);
+        net.exchange_into("sparse", &mut outbox, &mut inbox).expect("sparse");
+        tree(&mut outbox, round);
+        net.exchange_into("tree", &mut outbox, &mut inbox).expect("tree");
+    }
+    let before = allocations();
+    for round in 3..103 {
+        sparse(&mut outbox, round);
+        net.exchange_into("sparse", &mut outbox, &mut inbox).expect("sparse");
+        assert_eq!(inbox.iter().count(), 16);
+    }
+    let sparse_allocs = allocations() - before;
+    let before = allocations();
+    for round in 3..23 {
+        tree(&mut outbox, round);
+        net.exchange_into("tree", &mut outbox, &mut inbox).expect("tree");
+        assert_eq!(inbox.node(1000).len(), 6);
+    }
+    let tree_allocs = allocations() - before;
+    assert_eq!(
+        (sparse_allocs, tree_allocs),
+        (0, 0),
+        "warm sparse and ordered rounds at n = 2400 must not allocate"
+    );
+    assert_eq!(net.rounds(), 126, "every round fits the caps");
+}
+
 /// `drain_queues` pools its pacing scratch (outbox + inbox arena) on the net
 /// per payload type: a repeat drain of the same shape must allocate strictly
 /// less than the cold first call — only the caller-visible queue and result

@@ -198,19 +198,23 @@ proptest! {
                 .collect();
             let mut flat = FlatInboxes::new();
             net.exchange_into("pt", &mut outbox, &mut flat).unwrap();
-            let (msgs, starts) = flat.as_parts();
-            (msgs.to_vec(), starts.to_vec(), net.rounds(), net.metrics().clone())
+            let inboxes: Vec<Vec<(NodeId, u64)>> = (0..n).map(|d| flat.node(d).to_vec()).collect();
+            let listed: Vec<(usize, Vec<(NodeId, u64)>)> =
+                flat.iter().map(|(d, msgs)| (d, msgs.to_vec())).collect();
+            (inboxes, listed, net.rounds(), net.metrics().clone())
         };
-        let (msgs, starts, rounds, metrics) = run(1);
+        let (inboxes, listed, rounds, metrics) = run(1);
 
         // No crashes in the plan: nothing may be suppressed or declared dead,
         // and every single message must arrive.
         prop_assert_eq!(metrics.declared_dead, 0);
         prop_assert_eq!(metrics.suppressed_by_crash, 0);
-        prop_assert_eq!(msgs.len(), batch.len());
+        prop_assert_eq!(inboxes.iter().map(Vec::len).sum::<usize>(), batch.len());
+        // `iter` lists exactly the non-empty inboxes, in destination order.
+        let nonempty: Vec<usize> = (0..n).filter(|&d| !inboxes[d].is_empty()).collect();
+        prop_assert_eq!(listed.iter().map(|(d, _)| *d).collect::<Vec<_>>(), nonempty);
         let mut seen = vec![false; batch.len()];
-        for d in 0..n {
-            let slice = &msgs[starts[d]..starts[d + 1]];
+        for (d, slice) in inboxes.iter().enumerate() {
             for (src, payload) in slice {
                 let idx = *payload as usize;
                 prop_assert!(!seen[idx], "duplicate delivery of message {idx}");
@@ -235,9 +239,9 @@ proptest! {
 
         // Bit-identity across thread budgets: the reliable schedule is fully
         // deterministic, so the parallel wire engine may not change anything.
-        let (p_msgs, p_starts, p_rounds, p_metrics) = run(4);
-        prop_assert_eq!(p_msgs, msgs);
-        prop_assert_eq!(p_starts, starts);
+        let (p_inboxes, p_listed, p_rounds, p_metrics) = run(4);
+        prop_assert_eq!(p_inboxes, inboxes);
+        prop_assert_eq!(p_listed, listed);
         prop_assert_eq!(p_rounds, rounds);
         prop_assert_eq!(p_metrics.retransmissions, metrics.retransmissions);
         prop_assert_eq!(p_metrics.dropped_by_loss, metrics.dropped_by_loss);

@@ -9,7 +9,9 @@
 //!   same request mix. Clients retry overloads with deterministic backoff.
 //! * `serve-chaos` — a healthy tenant, a lossy+corrupting tenant, a crashing
 //!   tenant whose answers come back explicitly degraded, and a panicking
-//!   tenant behind a circuit breaker, all under deadline budgets.
+//!   tenant behind a circuit breaker, all under deadline budgets. A second,
+//!   sequential run drives the panicking tenant's breaker through its whole
+//!   cycle: trip, cooldown rejections, and failed half-open probes.
 //!
 //! Every workload must account for every request (served, shed,
 //! deadline-shed, breaker-rejected or failed — no silent loss), serve with
@@ -196,4 +198,50 @@ fn serve_chaos_contains_faults_and_degrades_explicitly() {
     assert!(chaos.failed > 0, "the panicking tenant must fail contained");
     assert!(chaos.stats.quarantined > 0, "contained panics must quarantine the session");
     assert!(chaos.degraded_served > 0, "the crashing tenant must serve degraded answers");
+}
+
+#[test]
+fn serve_chaos_breaker_cycles_through_half_open() {
+    let catalog = catalog();
+    let broker = Broker::new(&catalog, BrokerConfig::new(7));
+    broker.register_tenant("steady", TenantConfig::new(4)).unwrap();
+    let mut panicky = TenantConfig::new(4);
+    panicky.breaker_threshold = Some(2);
+    panicky.breaker_cooldown = 2;
+    panicky.chaos_panic_every = Some(1);
+    broker.register_tenant("panicky", panicky).unwrap();
+    // One client issues every request in sequence, so the panicking tenant's
+    // breaker sees no concurrent stragglers: two failures trip it, the next
+    // two requests are rejected, the one after is a half-open probe, which
+    // panics and re-opens it, and so on.
+    let cycle = run_load(
+        &broker,
+        &LoadSpec {
+            name: "serve-chaos-breaker".into(),
+            clients: 1,
+            requests_per_client: 24,
+            tenants: vec!["steady".into(), "panicky".into()],
+            graphs: graphs(),
+            queries: mixed_query_batch(8).into_iter().take(4).collect(),
+            seed: 17,
+            retries: 0,
+            retry_backoff_ms: 0,
+            deadline_ms: None,
+            updates: Vec::new(),
+            update_every: 0,
+        },
+    );
+    assert_served_and_accounted(&cycle);
+    assert!(cycle.breaker_rejected > 0, "the open breaker must reject during its cooldown");
+    assert!(cycle.stats.breaker_probes > 0, "the cooldown must end in a half-open probe");
+    assert_eq!(
+        cycle.stats.breaker_opens,
+        1 + cycle.stats.breaker_probes,
+        "every probe panics and re-opens the breaker"
+    );
+    assert_eq!(
+        cycle.failed,
+        2 + cycle.stats.breaker_probes,
+        "the failures are the two that trip the breaker plus the failed probes"
+    );
 }
