@@ -570,34 +570,35 @@ pub fn e12_clique_sim(scale: Scale) -> Table {
 }
 
 /// E13 — ablation: the skeleton constant `ξ` (correctness/cost trade-off the
-/// w.h.p. Lemma C.1 constant controls).
+/// w.h.p. Lemma C.1 constant controls). The ER graph's hop diameter (≈ 4) is
+/// below every `h` tried, so its local rows alone are exact; the cycle's
+/// (n/2) is not, and a sampling gap wider than `h` there leaves the skeleton
+/// connected the long way round, so small ξ can return wrong distances.
 pub fn e13_xi_ablation(scale: Scale) -> Table {
     let mut t = Table::new(
         "E13 (ablation): skeleton constant ξ — h, rounds, exactness of Thm 1.1 APSP",
-        &["n", "xi", "|V_S|", "h", "rounds", "exact", "fallbacks"],
+        &["family", "n", "xi", "|V_S|", "h", "rounds", "exact", "fallbacks"],
     );
     let n = scale.pick(200, 400);
-    let g = er(n, 10.0, 4, 71);
-    let exact = apsp(&g);
-    for xi in [0.25f64, 0.5, 1.0, 1.5, 2.5] {
-        let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = solve(&mut net, &Query::apsp().xi(xi).build().expect("valid"), 73).expect("apsp");
-        let dist = out.distances().expect("matrix");
-        let mut ok = true;
-        for u in g.nodes() {
-            for v in g.nodes() {
-                ok &= dist.get(u, v) == exact.get(u, v);
-            }
+    for (family, g) in [("er", er(n, 10.0, 4, 71)), ("cycle", cycle(n, 3).expect("cycle"))] {
+        let exact = apsp(&g);
+        for xi in [0.25f64, 0.5, 1.0, 1.5, 2.5] {
+            let mut net = HybridNet::new(&g, HybridConfig::default());
+            let query = Query::apsp().xi(xi).build().expect("valid");
+            let out = solve(&mut net, &query, 73).expect("apsp");
+            let dist = out.distances().expect("matrix");
+            let ok = dist.as_flat() == exact.as_flat();
+            t.row(vec![
+                family.to_string(),
+                n.to_string(),
+                f3(xi),
+                out.skeleton_size.to_string(),
+                out.h.to_string(),
+                out.rounds.to_string(),
+                ok.to_string(),
+                out.coverage_fallbacks.to_string(),
+            ]);
         }
-        t.row(vec![
-            n.to_string(),
-            f3(xi),
-            out.skeleton_size.to_string(),
-            out.h.to_string(),
-            out.rounds.to_string(),
-            ok.to_string(),
-            out.coverage_fallbacks.to_string(),
-        ]);
     }
     t
 }

@@ -25,21 +25,6 @@ use crate::error::HybridError;
 use crate::prepare::{near_phase, skeleton_apsp, skeleton_phase, NearData, NearTie, Prep};
 use crate::token_routing::{route_tokens, RoutingRates, Token};
 
-/// Configuration of the APSP runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApspConfig {
-    /// The `ξ` constant in the skeleton radius `h = ξ x ln n` (Lemma C.1 wants
-    /// `ξ ≥ 8` for the w.h.p. guarantee; at simulable `n` that exceeds most
-    /// graph diameters, so experiments document the value they use).
-    pub xi: f64,
-}
-
-impl Default for ApspConfig {
-    fn default() -> Self {
-        ApspConfig { xi: 1.5 }
-    }
-}
-
 /// Result of a distributed APSP run.
 #[derive(Debug, Clone)]
 pub struct ApspOutcome {
@@ -105,30 +90,23 @@ fn publish_skeleton_edges(
     Ok(())
 }
 
-/// Exact APSP in `Õ(√n)` rounds (Theorem 1.1).
+/// Exact APSP in `Õ(√n)` rounds (Theorem 1.1), with skeleton radius constant
+/// `xi` and the shared preamble served by `prep`.
 ///
 /// # Errors
 ///
 /// Propagates simulator/routing errors; see [`ApspOutcome::coverage_fallbacks`]
 /// for the (counted, remediated) Lemma C.1 failure events.
-pub fn exact_apsp(
+pub(crate) fn exact_apsp(
     net: &mut HybridNet<'_>,
-    cfg: ApspConfig,
-    seed: u64,
-) -> Result<ApspOutcome, HybridError> {
-    exact_apsp_prepared(net, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn exact_apsp_prepared(
-    net: &mut HybridNet<'_>,
-    cfg: ApspConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<ApspOutcome, HybridError> {
     let start = net.rounds();
     let n = net.n();
     // Sampling probability 1/√n (the x = √n trade-off point of Theorem 1.1).
-    let art = skeleton_phase(net, 0.5, cfg.xi, &[], seed, "apsp:skeleton", prep)?;
+    let art = skeleton_phase(net, 0.5, xi, &[], seed, "apsp:skeleton", prep)?;
     let skeleton = &art.skeleton;
     publish_skeleton_edges(net, skeleton, derive_seed(seed, 1), "apsp:edges")?;
     let d_s = skeleton_apsp(&art);
@@ -242,24 +220,16 @@ pub(crate) fn exact_apsp_prepared(
 /// # Errors
 ///
 /// Propagates simulator/routing errors.
-pub fn exact_apsp_soda20(
+pub(crate) fn exact_apsp_soda20(
     net: &mut HybridNet<'_>,
-    cfg: ApspConfig,
-    seed: u64,
-) -> Result<ApspOutcome, HybridError> {
-    exact_apsp_soda20_prepared(net, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn exact_apsp_soda20_prepared(
-    net: &mut HybridNet<'_>,
-    cfg: ApspConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<ApspOutcome, HybridError> {
     let start = net.rounds();
     let n = net.n();
     // Sampling probability 1/n^{2/3} ⇒ |V_S| ≈ n^{1/3}.
-    let art = skeleton_phase(net, 1.0 / 3.0, cfg.xi, &[], seed, "apsp3:skeleton", prep)?;
+    let art = skeleton_phase(net, 1.0 / 3.0, xi, &[], seed, "apsp3:skeleton", prep)?;
     let skeleton = &art.skeleton;
     publish_skeleton_edges(net, skeleton, derive_seed(seed, 1), "apsp3:edges")?;
     let d_s = skeleton_apsp(&art);
@@ -299,7 +269,7 @@ pub(crate) fn exact_apsp_soda20_prepared(
 /// flooding teach every node the entire topology, after which everything is
 /// computed locally. Exact, and the `Θ(D)` yardstick the introduction
 /// measures both HYBRID algorithms against.
-pub fn apsp_local_only(net: &mut HybridNet<'_>) -> ApspOutcome {
+pub(crate) fn apsp_local_only(net: &mut HybridNet<'_>) -> ApspOutcome {
     let g = net.graph();
     let n = g.len();
     // Rounds: the unweighted eccentricity bound — after D rounds of flooding
@@ -325,7 +295,7 @@ mod tests {
     fn check_exact(g: &hybrid_graph::Graph, xi: f64, seed: u64) -> ApspOutcome {
         let exact = apsp(g);
         let mut net = HybridNet::new(g, HybridConfig::default());
-        let out = exact_apsp(&mut net, ApspConfig { xi }, seed).unwrap();
+        let out = exact_apsp(&mut net, xi, seed, Prep::Cold).unwrap();
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(out.dist.get(u, v), exact.get(u, v), "pair ({u}, {v})");
@@ -362,7 +332,7 @@ mod tests {
         let g = erdos_renyi_connected(80, 0.07, 4, &mut rng).unwrap();
         let exact = apsp(&g);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = exact_apsp_soda20(&mut net, ApspConfig { xi: 1.5 }, 13).unwrap();
+        let out = exact_apsp_soda20(&mut net, 1.5, 13, Prep::Cold).unwrap();
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(out.dist.get(u, v), exact.get(u, v), "pair ({u}, {v})");
@@ -378,9 +348,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = erdos_renyi_connected(500, 12.0 / 500.0, 4, &mut rng).unwrap();
         let mut net_a = HybridNet::new(&g, HybridConfig::default());
-        let a = exact_apsp(&mut net_a, ApspConfig { xi: 1.5 }, 5).unwrap();
+        let a = exact_apsp(&mut net_a, 1.5, 5, Prep::Cold).unwrap();
         let mut net_b = HybridNet::new(&g, HybridConfig::default());
-        let b = exact_apsp_soda20(&mut net_b, ApspConfig { xi: 1.5 }, 5).unwrap();
+        let b = exact_apsp_soda20(&mut net_b, 1.5, 5, Prep::Cold).unwrap();
         assert!(
             a.rounds < b.rounds,
             "Thm 1.1 ({}) should beat SODA'20 baseline ({})",
@@ -410,8 +380,8 @@ mod tests {
         let g = grid(7, 7, 2).unwrap();
         let mut n1 = HybridNet::new(&g, HybridConfig::default());
         let mut n2 = HybridNet::new(&g, HybridConfig::default());
-        let a = exact_apsp(&mut n1, ApspConfig::default(), 21).unwrap();
-        let b = exact_apsp(&mut n2, ApspConfig::default(), 21).unwrap();
+        let a = exact_apsp(&mut n1, 1.5, 21, Prep::Cold).unwrap();
+        let b = exact_apsp(&mut n2, 1.5, 21, Prep::Cold).unwrap();
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.skeleton_size, b.skeleton_size);
     }

@@ -22,28 +22,9 @@ use hybrid_graph::{Distance, NodeId, INFINITY};
 use hybrid_sim::{derive_seed, par, HybridNet};
 
 use crate::aggregate::aggregate_all;
-use crate::clique_on_skeleton::{simulate_diameter_on_skeleton, CliqueSimReport};
+use crate::clique_on_skeleton::simulate_diameter_on_skeleton;
 use crate::error::HybridError;
-use crate::ksssp::KsspConfig;
 use crate::prepare::{skeleton_phase, Prep};
-
-/// Configuration of the diameter framework runs — its own parameter set, no
-/// longer borrowed from the k-SSP framework config.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiameterConfig {
-    /// The skeleton radius constant `ξ`: the framework samples its skeleton
-    /// with exponent `x = 2/(3+2δ)` (δ declared by the plugged CLIQUE
-    /// algorithm) and connects it with paths of up to
-    /// `h = ⌈ξ · n^{1-x} · ln n⌉` hops — the same role as
-    /// [`crate::sssp::SsspConfig::xi`].
-    pub xi: f64,
-}
-
-impl Default for DiameterConfig {
-    fn default() -> Self {
-        DiameterConfig { xi: 1.5 }
-    }
-}
 
 /// Result of a diameter framework run.
 #[derive(Debug, Clone)]
@@ -61,8 +42,6 @@ pub struct DiameterOutcome {
     /// The exploration threshold `⌈ηh⌉` (the else-branch implies `D` exceeds
     /// it, which converts the additive error at this rate).
     pub explore: u64,
-    /// CLIQUE simulation cost breakdown.
-    pub clique: CliqueSimReport,
     /// `(α, η, β bound)` of the plugged algorithm, for guarantee computation.
     pub alpha: f64,
     /// Runtime multiplier `η`.
@@ -85,25 +64,17 @@ impl DiameterOutcome {
     }
 }
 
-/// Runs the diameter framework (Algorithm 9) with CLIQUE plugin `alg` on an
-/// unweighted graph.
+/// Runs the diameter framework (Algorithm 9) with CLIQUE plugin `alg` and
+/// skeleton radius constant `xi` (see [`crate::solver::Query::Diameter`]) on
+/// an unweighted graph.
 ///
 /// # Errors
 ///
 /// Propagates simulator/CLIQUE errors.
-pub fn diameter_framework<A: CliqueDiameterAlgorithm + ?Sized>(
+pub(crate) fn diameter_framework<A: CliqueDiameterAlgorithm + ?Sized>(
     net: &mut HybridNet<'_>,
     alg: &A,
-    cfg: DiameterConfig,
-    seed: u64,
-) -> Result<DiameterOutcome, HybridError> {
-    diameter_framework_prepared(net, alg, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn diameter_framework_prepared<A: CliqueDiameterAlgorithm + ?Sized>(
-    net: &mut HybridNet<'_>,
-    alg: &A,
-    cfg: DiameterConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<DiameterOutcome, HybridError> {
@@ -112,12 +83,12 @@ pub(crate) fn diameter_framework_prepared<A: CliqueDiameterAlgorithm + ?Sized>(
     let x = 2.0 / (3.0 + 2.0 * delta);
 
     // Step 1: skeleton.
-    let art = skeleton_phase(net, x, cfg.xi, &[], seed, "diam:skeleton", prep)?;
+    let art = skeleton_phase(net, x, xi, &[], seed, "diam:skeleton", prep)?;
     let skeleton = &art.skeleton;
     let h = skeleton.h();
 
     // Step 2: CLIQUE diameter algorithm on the skeleton.
-    let (d_tilde_s, clique_report) =
+    let (d_tilde_s, _) =
         simulate_diameter_on_skeleton(net, skeleton, alg, derive_seed(seed, 1), "diam:clique")?;
 
     // Step 3: local exploration for ηh + 1 rounds — spreads D̃(S) and lets every
@@ -154,7 +125,6 @@ pub(crate) fn diameter_framework_prepared<A: CliqueDiameterAlgorithm + ?Sized>(
         h,
         exact_local,
         explore: threshold,
-        clique: clique_report,
         alpha: alg.alpha(),
         eta,
         beta_bound: alg.beta().bound(skeleton.graph().max_weight()),
@@ -166,24 +136,15 @@ pub(crate) fn diameter_framework_prepared<A: CliqueDiameterAlgorithm + ?Sized>(
 /// # Errors
 ///
 /// Propagates framework errors.
-pub fn diameter_cor52(
+pub(crate) fn diameter_cor52(
     net: &mut HybridNet<'_>,
     eps: f64,
-    cfg: DiameterConfig,
-    seed: u64,
-) -> Result<DiameterOutcome, HybridError> {
-    diameter_cor52_prepared(net, eps, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn diameter_cor52_prepared(
-    net: &mut HybridNet<'_>,
-    eps: f64,
-    cfg: DiameterConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<DiameterOutcome, HybridError> {
     let alg = DeclaredDiameter32::new(eps, derive_seed(seed, 52));
-    diameter_framework_prepared(net, &alg, cfg, seed, prep)
+    diameter_framework(net, &alg, xi, seed, prep)
 }
 
 /// Corollary 5.3: `(1 + ε)`-approximate diameter in `Õ(n^{0.397}/ε)` rounds.
@@ -191,24 +152,15 @@ pub(crate) fn diameter_cor52_prepared(
 /// # Errors
 ///
 /// Propagates framework errors.
-pub fn diameter_cor53(
+pub(crate) fn diameter_cor53(
     net: &mut HybridNet<'_>,
     eps: f64,
-    cfg: DiameterConfig,
-    seed: u64,
-) -> Result<DiameterOutcome, HybridError> {
-    diameter_cor53_prepared(net, eps, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn diameter_cor53_prepared(
-    net: &mut HybridNet<'_>,
-    eps: f64,
-    cfg: DiameterConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<DiameterOutcome, HybridError> {
     let alg = DeclaredDiameterAlgebraic::new(eps, derive_seed(seed, 53));
-    diameter_framework_prepared(net, &alg, cfg, seed, prep)
+    diameter_framework(net, &alg, xi, seed, prep)
 }
 
 /// Upper bound noted after Theorem 1.6: a `(2+o(1))`-approximation of the
@@ -219,22 +171,16 @@ pub(crate) fn diameter_cor53_prepared(
 /// # Errors
 ///
 /// Propagates framework errors.
-pub fn weighted_diameter_2approx(
+pub(crate) fn weighted_diameter_2approx(
     net: &mut HybridNet<'_>,
     eps: f64,
-    cfg: DiameterConfig,
+    xi: f64,
     seed: u64,
 ) -> Result<DiameterOutcome, HybridError> {
     // (1+ε)-approximate SSSP from node 0 via the framework with the algebraic
     // APSP plugin restricted to one source.
     let alg = DeclaredKssp::algebraic_apsp(eps, derive_seed(seed, 66));
-    let out = crate::ksssp::kssp_framework(
-        net,
-        &alg,
-        &[NodeId::new(0)],
-        KsspConfig { xi: cfg.xi },
-        seed,
-    )?;
+    let out = crate::ksssp::kssp_framework(net, &alg, &[NodeId::new(0)], xi, seed, Prep::Cold)?;
     let ecc = out.est[0].iter().copied().filter(|&d| d != INFINITY).max().unwrap_or(0);
     Ok(DiameterOutcome {
         estimate: ecc.saturating_mul(2),
@@ -243,7 +189,6 @@ pub fn weighted_diameter_2approx(
         h: out.h,
         exact_local: false,
         explore: out.explore,
-        clique: out.clique,
         alpha: 2.0 * (1.0 + eps),
         eta: 1.0,
         beta_bound: 0.0,
@@ -266,7 +211,7 @@ mod tests {
         let g = erdos_renyi_connected(80, 0.1, 1, &mut rng).unwrap();
         let d = unweighted_diameter(&g);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = diameter_cor52(&mut net, 0.5, DiameterConfig::default(), 3).unwrap();
+        let out = diameter_cor52(&mut net, 0.5, 1.5, 3, Prep::Cold).unwrap();
         // ER diameter ≈ 3 ≪ ηh: the local path applies and is exact.
         assert!(out.exact_local);
         assert_eq!(out.estimate, d);
@@ -280,7 +225,7 @@ mod tests {
         let g = cycle(300, 1).unwrap();
         let d = unweighted_diameter(&g);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = diameter_cor52(&mut net, 0.5, DiameterConfig { xi: 1.2 }, 5).unwrap();
+        let out = diameter_cor52(&mut net, 0.5, 1.2, 5, Prep::Cold).unwrap();
         assert!(!out.exact_local, "ηh = {} vs D = {d}", out.h);
         assert!(out.estimate >= d, "never underestimates: {} < {d}", out.estimate);
         let ratio = out.estimate as f64 / d as f64;
@@ -295,9 +240,9 @@ mod tests {
     fn cor53_tighter_than_cor52_factor() {
         let g = grid(14, 14, 1).unwrap();
         let mut n1 = HybridNet::new(&g, HybridConfig::default());
-        let a = diameter_cor52(&mut n1, 0.2, DiameterConfig { xi: 0.05 }, 7).unwrap();
+        let a = diameter_cor52(&mut n1, 0.2, 0.05, 7, Prep::Cold).unwrap();
         let mut n2 = HybridNet::new(&g, HybridConfig::default());
-        let b = diameter_cor53(&mut n2, 0.2, DiameterConfig { xi: 0.05 }, 7).unwrap();
+        let b = diameter_cor53(&mut n2, 0.2, 0.05, 7, Prep::Cold).unwrap();
         assert!(b.guaranteed_factor() < a.guaranteed_factor());
         let d = unweighted_diameter(&g);
         assert!(a.estimate >= d && b.estimate >= d);
@@ -309,7 +254,7 @@ mod tests {
         let g = erdos_renyi_connected(70, 0.08, 9, &mut rng).unwrap();
         let d = weighted_diameter(&g);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = weighted_diameter_2approx(&mut net, 0.1, DiameterConfig::default(), 2).unwrap();
+        let out = weighted_diameter_2approx(&mut net, 0.1, 1.5, 2).unwrap();
         assert!(out.estimate >= d, "eccentricity × 2 upper-bounds D");
         assert!(out.estimate as f64 <= 2.2 * d as f64 + 1.0);
     }

@@ -23,23 +23,10 @@ use hybrid_graph::dijkstra::par_map_rows;
 use hybrid_graph::{dist_add, Distance, NodeId, INFINITY};
 use hybrid_sim::{derive_seed, HybridNet};
 
-use crate::clique_on_skeleton::{simulate_kssp_on_skeleton, CliqueSimReport};
+use crate::clique_on_skeleton::simulate_kssp_on_skeleton;
 use crate::error::HybridError;
 use crate::prepare::{near_phase, skeleton_phase, NearTie, Prep};
 use crate::skeleton_ops::{compute_representatives, Representative};
-
-/// Configuration of the framework run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KsspConfig {
-    /// Skeleton radius constant `ξ` (see [`crate::apsp::ApspConfig::xi`]).
-    pub xi: f64,
-}
-
-impl Default for KsspConfig {
-    fn default() -> Self {
-        KsspConfig { xi: 1.5 }
-    }
-}
 
 /// Result of a k-SSP framework run.
 #[derive(Debug, Clone)]
@@ -54,10 +41,6 @@ pub struct KsspOutcome {
     pub skeleton_size: usize,
     /// Skeleton hop budget `h`.
     pub h: usize,
-    /// The framework exponent `x = 2/(3+2δ)`.
-    pub x: f64,
-    /// CLIQUE simulation cost breakdown.
-    pub clique: CliqueSimReport,
     /// Lemma C.1 fallback count (see [`crate::apsp::ApspOutcome`]).
     pub coverage_fallbacks: usize,
     /// The local exploration radius `⌈ηh⌉` actually used (the paper explores
@@ -94,24 +77,10 @@ impl KsspOutcome {
             2.0 * self.alpha + 1.0 + beta_term
         }
     }
-
-    /// Measured worst-case ratio `d̃ / d` against exact distances
-    /// (`exact[s_idx][v]`), ignoring unreachable pairs.
-    pub fn max_ratio_vs(&self, exact: &[Vec<Distance>]) -> f64 {
-        let mut worst: f64 = 1.0;
-        for (row, erow) in self.est.iter().zip(exact) {
-            for (&a, &e) in row.iter().zip(erow) {
-                if e == 0 || e == INFINITY || a == INFINITY {
-                    continue;
-                }
-                worst = worst.max(a as f64 / e as f64);
-            }
-        }
-        worst
-    }
 }
 
-/// Runs the framework (Algorithm 5) with CLIQUE plugin `alg`.
+/// Runs the framework (Algorithm 5) with CLIQUE plugin `alg` and skeleton
+/// radius constant `xi` (see [`crate::solver::Query::Kssp`]).
 ///
 /// # Errors
 ///
@@ -122,21 +91,11 @@ impl KsspOutcome {
 /// # Panics
 ///
 /// Panics if `sources` is empty.
-pub fn kssp_framework<A: CliqueKsspAlgorithm + ?Sized>(
+pub(crate) fn kssp_framework<A: CliqueKsspAlgorithm + ?Sized>(
     net: &mut HybridNet<'_>,
     alg: &A,
     sources: &[NodeId],
-    cfg: KsspConfig,
-    seed: u64,
-) -> Result<KsspOutcome, HybridError> {
-    kssp_framework_prepared(net, alg, sources, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn kssp_framework_prepared<A: CliqueKsspAlgorithm + ?Sized>(
-    net: &mut HybridNet<'_>,
-    alg: &A,
-    sources: &[NodeId],
-    cfg: KsspConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<KsspOutcome, HybridError> {
@@ -155,7 +114,7 @@ pub(crate) fn kssp_framework_prepared<A: CliqueKsspAlgorithm + ?Sized>(
 
     // Step 1: skeleton (force the source in for the single-source case).
     let forced: &[NodeId] = if single_source { &sources[..1] } else { &[] };
-    let art = skeleton_phase(net, x, cfg.xi, forced, seed, "kssp:skeleton", prep)?;
+    let art = skeleton_phase(net, x, xi, forced, seed, "kssp:skeleton", prep)?;
     let skeleton = &art.skeleton;
     let h = skeleton.h();
     let ns = skeleton.len();
@@ -176,7 +135,7 @@ pub(crate) fn kssp_framework_prepared<A: CliqueKsspAlgorithm + ?Sized>(
     rep_locals.sort_unstable();
     rep_locals.dedup();
     let clique_sources: Vec<NodeId> = rep_locals.iter().map(|&i| NodeId::new(i)).collect();
-    let (est_s, clique_report) = simulate_kssp_on_skeleton(
+    let (est_s, _) = simulate_kssp_on_skeleton(
         net,
         skeleton,
         alg,
@@ -229,9 +188,7 @@ pub(crate) fn kssp_framework_prepared<A: CliqueKsspAlgorithm + ?Sized>(
         rounds: net.rounds() - start,
         skeleton_size: ns,
         h,
-        x,
         explore,
-        clique: clique_report,
         coverage_fallbacks: near.fallbacks,
         alpha: alg.alpha(),
         beta_bound: alg.beta().bound(skeleton.graph().max_weight()),
@@ -242,79 +199,50 @@ pub(crate) fn kssp_framework_prepared<A: CliqueKsspAlgorithm + ?Sized>(
 
 /// Corollary 4.6: `n^{1/3}`-source shortest paths, `(1+ε)` unweighted / `(3+ε)`
 /// weighted, `Õ(n^{1/3}/ε)` rounds. Plugin: \[7\] Theorem 1.2 with `γ = 1/2`.
-pub fn kssp_cor46(
+pub(crate) fn kssp_cor46(
     net: &mut HybridNet<'_>,
     sources: &[NodeId],
     eps: f64,
-    cfg: KsspConfig,
-    seed: u64,
-) -> Result<KsspOutcome, HybridError> {
-    kssp_cor46_prepared(net, sources, eps, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn kssp_cor46_prepared(
-    net: &mut HybridNet<'_>,
-    sources: &[NodeId],
-    eps: f64,
-    cfg: KsspConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<KsspOutcome, HybridError> {
     let alg = DeclaredKssp::censor_hillel_sqrt_sources(eps, derive_seed(seed, 46));
-    kssp_framework_prepared(net, &alg, sources, cfg, seed, prep)
+    kssp_framework(net, &alg, sources, xi, seed, prep)
 }
 
 /// Corollary 4.7: any `k` sources, `(2+ε)` unweighted / `(7+ε)` weighted,
 /// `Õ(n^{1/3}/ε + √k)` rounds. Plugin: \[7\] Theorem 1.1 (APSP).
-pub fn kssp_cor47(
+pub(crate) fn kssp_cor47(
     net: &mut HybridNet<'_>,
     sources: &[NodeId],
     eps: f64,
-    cfg: KsspConfig,
-    seed: u64,
-) -> Result<KsspOutcome, HybridError> {
-    kssp_cor47_prepared(net, sources, eps, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn kssp_cor47_prepared(
-    net: &mut HybridNet<'_>,
-    sources: &[NodeId],
-    eps: f64,
-    cfg: KsspConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<KsspOutcome, HybridError> {
     let alg = DeclaredKssp::censor_hillel_apsp(eps, derive_seed(seed, 47));
-    kssp_framework_prepared(net, &alg, sources, cfg, seed, prep)
+    kssp_framework(net, &alg, sources, xi, seed, prep)
 }
 
 /// Corollary 4.8: any `k` sources, `(1+ε)` unweighted / `(3+o(1))` weighted,
 /// `Õ(n^{0.397} + √k)` rounds. Plugin: the algebraic APSP of \[8\].
-pub fn kssp_cor48(
+pub(crate) fn kssp_cor48(
     net: &mut HybridNet<'_>,
     sources: &[NodeId],
     eps: f64,
-    cfg: KsspConfig,
-    seed: u64,
-) -> Result<KsspOutcome, HybridError> {
-    kssp_cor48_prepared(net, sources, eps, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn kssp_cor48_prepared(
-    net: &mut HybridNet<'_>,
-    sources: &[NodeId],
-    eps: f64,
-    cfg: KsspConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<KsspOutcome, HybridError> {
     let alg = DeclaredKssp::algebraic_apsp(eps, derive_seed(seed, 48));
-    kssp_framework_prepared(net, &alg, sources, cfg, seed, prep)
+    kssp_framework(net, &alg, sources, xi, seed, prep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::max_ratio;
     use clique_sim::bellman_ford::BellmanFordKSsp;
     use hybrid_graph::apsp::apsp;
     use hybrid_graph::generators::{erdos_renyi_connected, grid};
@@ -342,14 +270,14 @@ mod tests {
         let g = erdos_renyi_connected(100, 0.06, 4, &mut rng).unwrap();
         let sources = random_sources(100, 6, 2);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = kssp_cor47(&mut net, &sources, 0.5, KsspConfig::default(), 3).unwrap();
+        let out = kssp_cor47(&mut net, &sources, 0.5, 1.5, 3, Prep::Cold).unwrap();
         let exact = exact_rows(&g, &sources);
         for (s_idx, row) in exact.iter().enumerate() {
             for v in 0..100 {
                 assert!(out.est[s_idx][v] >= row[v], "underestimate at ({s_idx}, {v})");
             }
         }
-        let ratio = out.max_ratio_vs(&exact);
+        let ratio = max_ratio(&out.est, &exact);
         let bound = out.guaranteed_factor(false);
         assert!(ratio <= bound + 1e-9, "ratio {ratio} > guarantee {bound}");
     }
@@ -360,9 +288,9 @@ mod tests {
         // n^{xγ} = 100^{1/3} ≈ 4.6, capacity tolerance ×4 ⇒ a handful of sources.
         let sources = random_sources(100, 4, 5);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = kssp_cor46(&mut net, &sources, 0.5, KsspConfig::default(), 7).unwrap();
+        let out = kssp_cor46(&mut net, &sources, 0.5, 1.5, 7, Prep::Cold).unwrap();
         let exact = exact_rows(&g, &sources);
-        let ratio = out.max_ratio_vs(&exact);
+        let ratio = max_ratio(&out.est, &exact);
         assert!(ratio <= out.guaranteed_factor(true) + 1e-9, "ratio {ratio}");
     }
 
@@ -375,9 +303,8 @@ mod tests {
         let g = erdos_renyi_connected(70, 0.08, 3, &mut rng).unwrap();
         let source = NodeId::new(12);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out =
-            kssp_framework(&mut net, &BellmanFordKSsp::new(), &[source], KsspConfig::default(), 9)
-                .unwrap();
+        let out = kssp_framework(&mut net, &BellmanFordKSsp::new(), &[source], 1.5, 9, Prep::Cold)
+            .unwrap();
         let exact = exact_rows(&g, &[source]);
         assert_eq!(out.est[0], exact[0], "single-source with exact plugin must be exact");
         assert!(out.single_source);
@@ -391,7 +318,7 @@ mod tests {
         let alg = clique_sim::declared::DeclaredKssp::exact_sssp();
         let sources: Vec<NodeId> = vec![NodeId::new(0), NodeId::new(9)];
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let err = kssp_framework(&mut net, &alg, &sources, KsspConfig::default(), 1).unwrap_err();
+        let err = kssp_framework(&mut net, &alg, &sources, 1.5, 1, Prep::Cold).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -407,9 +334,12 @@ mod tests {
         let g = erdos_renyi_connected(90, 0.07, 1, &mut rng).unwrap();
         let sources = random_sources(90, 8, 3);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = kssp_cor48(&mut net, &sources, 0.25, KsspConfig::default(), 2).unwrap();
+        let out = kssp_cor48(&mut net, &sources, 0.25, 1.5, 2, Prep::Cold).unwrap();
         let exact = exact_rows(&g, &sources);
-        assert!(out.max_ratio_vs(&exact) <= out.guaranteed_factor(true) + 1e-9);
-        assert!((out.x - 2.0 / (3.0 + 2.0 * 0.15715)).abs() < 1e-12);
+        assert!(max_ratio(&out.est, &exact) <= out.guaranteed_factor(true) + 1e-9);
+        // The plugin's δ = 0.15715 sets the skeleton exponent x = 2/(3+2δ),
+        // and with it h = ⌈ξ · n^{1-x} · ln n⌉.
+        let (n, x) = (90f64, 2.0 / (3.0 + 2.0 * 0.15715));
+        assert_eq!(out.h, (1.5 * n.powf(1.0 - x) * n.ln()).ceil() as usize);
     }
 }

@@ -10,20 +10,23 @@
 //!   rounds (§2.1, Lemma 2.1).
 //! * **Token routing** (§2) — [`helpers`]: helper-set computation (Algorithm 1);
 //!   [`token_routing`]: the routing protocol (Algorithms 2–4, Theorem 2.2).
-//! * **Shortest paths** — [`apsp`]: exact APSP in `Õ(√n)` (§3, Theorem 1.1) plus
-//!   the `Õ(n^{2/3})` baseline of \[3\]; [`skeleton_ops`] and
+//! * **Shortest paths** — exact APSP in `Õ(√n)` (§3, Theorem 1.1) plus the
+//!   `Õ(n^{2/3})` baseline of \[3\]; [`skeleton_ops`] and
 //!   [`clique_on_skeleton`]: skeleton construction, source representatives, and
-//!   the CLIQUE-on-skeleton simulation (§4.1, Corollary 4.1); [`ksssp`]: the
-//!   k-SSP framework (Theorem 4.1) and Corollaries 4.6–4.8; [`sssp`]: exact SSSP
-//!   in `Õ(n^{2/5})` (Theorem 1.3) and baselines.
-//! * **Diameter** (§5) — [`diameter`]: the diameter framework (Theorem 5.1) and
+//!   the CLIQUE-on-skeleton simulation (§4.1, Corollary 4.1); the k-SSP
+//!   framework (Theorem 4.1) and Corollaries 4.6–4.8; exact SSSP in
+//!   `Õ(n^{2/5})` (Theorem 1.3) and baselines.
+//! * **Diameter** (§5) — the diameter framework (Theorem 5.1) and
 //!   Corollaries 5.2 / 5.3.
 //! * **Lower bounds** (§6, §7) — [`lower_bound_experiments`]: information-flow
 //!   measurements on the Figure-1 and Figure-2 constructions (Theorems 1.5, 1.6).
-//! * **Solver facade** — [`solver`]: the typed [`Query`] → [`solve`] →
-//!   [`Report`] front door over every algorithm above; external callers
-//!   (scenario engine, benchmarks, examples) go through it instead of the
-//!   per-algorithm free functions.
+//!
+//! Callers reach the shortest-path and diameter algorithms through two
+//! doors: [`solver`], the typed [`Query`] → [`solve`] → [`Report`] front door
+//! that runs one query on a net, and [`session`], whose [`Session`] answers
+//! many queries on one graph bit-identically while preparing their shared
+//! skeleton preamble once. The per-algorithm protocol functions are private
+//! to this crate.
 
 #![warn(missing_docs)]
 // Per-node `for v in 0..n` index loops are the message-passing idiom here
@@ -31,14 +34,14 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod aggregate;
-pub mod apsp;
+pub(crate) mod apsp;
 pub mod clique_on_skeleton;
-pub mod diameter;
+pub(crate) mod diameter;
 pub mod dissemination;
 pub mod error;
 pub mod hash;
 pub mod helpers;
-pub mod ksssp;
+pub(crate) mod ksssp;
 pub mod lower_bound_experiments;
 pub(crate) mod prepare;
 pub mod repair;
@@ -46,7 +49,7 @@ pub mod ruling_set;
 pub mod session;
 pub mod skeleton_ops;
 pub mod solver;
-pub mod sssp;
+pub(crate) mod sssp;
 pub mod token_routing;
 
 pub use error::HybridError;

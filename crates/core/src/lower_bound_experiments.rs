@@ -25,8 +25,10 @@ use hybrid_sim::{HybridConfig, HybridNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::diameter::{diameter_cor52, weighted_diameter_2approx};
 use crate::error::HybridError;
-use crate::ksssp::{kssp_cor47, KsspConfig};
+use crate::ksssp::kssp_cor47;
+use crate::prepare::Prep;
 
 /// Measurement report for the k-SSP lower bound (Theorem 1.5 / Figure 1).
 #[derive(Debug, Clone)]
@@ -75,7 +77,7 @@ pub fn run_kssp_lower_bound(
     let side: Vec<bool> = g.nodes().map(|v| lb.on_b_side(v, l)).collect();
     net.set_cut(side);
 
-    let out = kssp_cor47(&mut net, &lb.sources, eps, KsspConfig { xi: 0.3 }, seed)?;
+    let out = kssp_cor47(&mut net, &lb.sources, eps, 0.3, seed, Prep::Cold)?;
 
     // b decodes the assignment iff its estimate for every source distinguishes
     // "near v1" (distance l+1) from "near v2" (distance path_len): the
@@ -179,11 +181,10 @@ pub fn run_diameter_lower_bound(
     let mut net = HybridNet::new(g, HybridConfig::default());
     let side: Vec<bool> = g.nodes().map(|v| gamma.on_alice_side(v, ell / 2)).collect();
     net.set_cut(side);
-    let cfg = crate::diameter::DiameterConfig { xi: 0.3 };
     let out = if w == 1 {
-        crate::diameter::diameter_cor52(&mut net, eps, cfg, seed)?
+        diameter_cor52(&mut net, eps, 0.3, seed, Prep::Cold)?
     } else {
-        crate::diameter::weighted_diameter_2approx(&mut net, eps, cfg, seed)?
+        weighted_diameter_2approx(&mut net, eps, 0.3, seed)?
     };
 
     let log = log2_ceil(n) as f64;

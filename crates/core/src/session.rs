@@ -24,6 +24,13 @@
 //!   Batch answers are shared: a memo hit and every repeat within a batch
 //!   hand out the memo's own `Arc<Report>`, so a repeat costs a reference
 //!   count, not a copy of its distance matrix.
+//! * **Observed solves.** [`Session::solve_with_metrics`] and
+//!   [`Session::solve_traced`] always run the protocol, so the metrics and
+//!   the trace they return describe a real run, and they memoise the very
+//!   `Arc<Report>` they return: a later memo hit hands out that allocation.
+//!
+//! All four solve methods share one private body, which checks the query,
+//! consults or fills the memo, and runs the protocol.
 //!
 //! # Faults
 //!
@@ -61,7 +68,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hybrid_graph::{DeltaBatch, Graph};
-use hybrid_sim::{FaultPlan, HybridConfig, HybridNet, Metrics, Recorder, TraceEvent};
+use hybrid_sim::{FaultPlan, HybridConfig, HybridNet, Metrics, Recorder};
 
 use crate::error::HybridError;
 use crate::prepare::Prep;
@@ -76,7 +83,7 @@ use crate::solver::{solve_inner, Query, QueryError, Report, SourceSet, SsspVaria
 pub struct SessionConfig {
     /// Root seed of every query served by this session. All preprocessing
     /// (skeleton sampling, source resolution, routing hashes) derives from
-    /// it; [`Session::solve_seeded`] rejects any other seed.
+    /// it, so another seed means another session.
     pub seed: u64,
     /// The skeleton radius constant `ξ` the prepared artifacts are built
     /// with. Queries carrying a different `ξ` are rejected with
@@ -348,17 +355,6 @@ impl Session {
         net
     }
 
-    /// Runs `query` end to end on a fresh net, serving preprocessing from
-    /// the prepared artifact when caching is sound. Returns the result plus
-    /// the net's full metrics (the scenario runner reads partial rounds and
-    /// message counts off them on structured errors).
-    fn execute(&self, query: &Query) -> (Result<Report, HybridError>, Metrics) {
-        let mut net = self.fresh_net();
-        let prep = if self.cacheable() { Prep::Warm(&self.prepared) } else { Prep::Cold };
-        let result = solve_inner(&mut net, query, self.cfg.seed, prep);
-        (result, net.into_metrics())
-    }
-
     /// Serves `query` under the session seed (see the module docs for the
     /// equivalence and amortization contract).
     ///
@@ -368,151 +364,79 @@ impl Session {
     ///   [`QueryError::SessionXiMismatch`].
     /// * Any simulator/protocol error a fresh `solve` would produce.
     pub fn solve(&self, query: &Query) -> Result<Report, HybridError> {
-        self.solve_shared(query).map(Arc::unwrap_or_clone)
-    }
-
-    /// [`Session::solve`] without the copy: a memo hit returns the memo's
-    /// own report, and a miss returns the report it just memoised.
-    fn solve_shared(&self, query: &Query) -> Result<Arc<Report>, HybridError> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        query.validate().map_err(HybridError::Query)?;
-        self.check_xi(query)?;
-        if !self.cacheable() {
-            return self.execute(query).0.map(Arc::new);
-        }
-        let key = (self.epoch, query_key(query));
-        if let Some(report) = self.reports.lock().expect("report memo lock").get(&key) {
-            self.report_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(report));
-        }
-        let report = Arc::new(self.execute(query).0?);
-        self.reports.lock().expect("report memo lock").insert(key, Arc::clone(&report));
-        Ok(report)
-    }
-
-    /// Like [`Session::solve`], but verifies the caller's `seed` against the
-    /// session's pinned seed first — the guard for callers that thread seeds
-    /// separately from sessions.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::SessionSeedMismatch`] (wrapped) when `seed` differs from
-    /// the session seed; otherwise as [`Session::solve`].
-    pub fn solve_seeded(&self, query: &Query, seed: u64) -> Result<Report, HybridError> {
-        if seed != self.cfg.seed {
-            return Err(HybridError::Query(QueryError::SessionSeedMismatch {
-                expected: self.cfg.seed,
-                got: seed,
-            }));
-        }
-        self.solve(query)
+        self.serve(query, None).map(Arc::unwrap_or_clone)
     }
 
     /// Serves `query` and returns the executing net's full [`Metrics`]
-    /// alongside — always runs the protocol (the report memo is bypassed so
-    /// the metrics describe a real run), still sharing preprocessing. The
-    /// scenario runner uses this to report partial rounds and message counts
-    /// for structured-error runs.
-    pub fn solve_with_metrics(&self, query: &Query) -> (Result<Report, HybridError>, Metrics) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = query.validate() {
-            return (Err(HybridError::Query(e)), Metrics::new());
-        }
-        if let Err(e) = self.check_xi(query) {
-            return (Err(e), Metrics::new());
-        }
-        let (result, metrics) = self.execute(query);
-        if self.cacheable() {
-            if let Ok(report) = &result {
-                self.reports
-                    .lock()
-                    .expect("report memo lock")
-                    .entry((self.epoch, query_key(query)))
-                    .or_insert_with(|| Arc::new(report.clone()));
-            }
-        }
-        (result, metrics)
+    /// alongside. It always runs the protocol (the report memo is not
+    /// consulted, so the metrics describe a real run), still sharing
+    /// preprocessing, and memoises the report it returns. A rejected query
+    /// comes back with empty metrics. The scenario runner uses this to
+    /// report partial rounds and message counts for structured-error runs.
+    pub fn solve_with_metrics(&self, query: &Query) -> (Result<Arc<Report>, HybridError>, Metrics) {
+        let mut seen = Observed::default();
+        let result = self.serve(query, Some(&mut seen));
+        (result, seen.metrics)
     }
 
     /// Like [`Session::solve_with_metrics`], but also records a structured
-    /// trace of the run (the report memo is bypassed so the trace describes a
-    /// real protocol run; preprocessing is still shared, so cache hits show
-    /// up as [`TraceEvent::Cache`] events). The returned recorder reconciles
-    /// exactly against the returned metrics.
-    pub fn solve_traced(&self, query: &Query) -> (Result<Report, HybridError>, Metrics, Recorder) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = query.validate() {
-            return (Err(HybridError::Query(e)), Metrics::new(), Recorder::new());
-        }
-        if let Err(e) = self.check_xi(query) {
-            return (Err(e), Metrics::new(), Recorder::new());
-        }
-        let mut net = self.fresh_net();
-        net.set_trace(Recorder::new());
-        let prep = if self.cacheable() { Prep::Warm(&self.prepared) } else { Prep::Cold };
-        let result = solve_inner(&mut net, query, self.cfg.seed, prep);
-        let rec = net.take_trace().expect("recorder installed above");
-        if self.cacheable() {
-            if let Ok(report) = &result {
-                self.reports
-                    .lock()
-                    .expect("report memo lock")
-                    .entry((self.epoch, query_key(query)))
-                    .or_insert_with(|| Arc::new(report.clone()));
-            }
-        }
-        (result, net.into_metrics(), rec)
+    /// trace of the run (preprocessing is still shared, so its cache hits
+    /// show up as [`hybrid_sim::TraceEvent::Cache`] events). The returned
+    /// recorder reconciles exactly against the returned metrics.
+    pub fn solve_traced(
+        &self,
+        query: &Query,
+    ) -> (Result<Arc<Report>, HybridError>, Metrics, Recorder) {
+        let mut seen = Observed { trace: Some(Recorder::new()), ..Observed::default() };
+        let result = self.serve(query, Some(&mut seen));
+        (result, seen.metrics, seen.trace.expect("the traced net hands its recorder back"))
     }
 
-    /// Serves a batch serially with one merged trace: every input gets a
-    /// `batch[i]:<label>` span, protocol runs carry their full event stream,
-    /// and memo-served repeats appear as report-cache hit events instead of
-    /// re-running — the per-item cost structure of a serving workload, made
-    /// visible. Results are bit-identical to [`Session::solve_batch`] on the
-    /// same inputs, and memo-served ones are shared the same way.
-    pub fn solve_batch_traced(
+    /// The one body behind every solve method. It counts the query and
+    /// checks its parameters and its ξ. A plain solve (`observe` is `None`)
+    /// on a cacheable session then returns the memo's report if there is
+    /// one. Otherwise the protocol runs on a fresh net, serving preprocessing
+    /// from the prepared artifact when caching is sound, and the memo keeps
+    /// the very `Arc` returned. An observed solve traces into the recorder
+    /// `observe` holds, if any, and gets the net's metrics back in it.
+    fn serve(
         &self,
-        queries: &[Query],
-    ) -> (Vec<Result<Arc<Report>, HybridError>>, Recorder) {
-        let mut rec = Recorder::new();
-        let mut results = Vec::with_capacity(queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            let span = format!("batch[{i}]:{}", q.label());
-            let memo = if self.cacheable() && q.validate().is_ok() && self.check_xi(q).is_ok() {
-                self.reports
-                    .lock()
-                    .expect("report memo lock")
-                    .get(&(self.epoch, query_key(q)))
-                    .map(Arc::clone)
-            } else {
-                None
-            };
-            if let Some(report) = memo {
-                self.queries.fetch_add(1, Ordering::Relaxed);
+        query: &Query,
+        mut observe: Option<&mut Observed>,
+    ) -> Result<Arc<Report>, HybridError> {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        query.validate().map_err(HybridError::Query)?;
+        self.check_xi(query)?;
+        let key = self.cacheable().then(|| (self.epoch, query_key(query)));
+        if let (Some(key), None) = (&key, &observe) {
+            if let Some(report) = self.reports.lock().expect("report memo lock").get(key) {
                 self.report_hits.fetch_add(1, Ordering::Relaxed);
-                rec.span_begin(&span, 0);
-                rec.record(TraceEvent::Cache { name: format!("report:{}", q.label()), hit: true });
-                rec.span_end(&span, 0);
-                results.push(Ok(report));
-                continue;
+                return Ok(Arc::clone(report));
             }
-            let (result, metrics, item) = self.solve_traced(q);
-            rec.span_begin(&span, 0);
-            rec.merge(&item);
-            rec.span_end(&span, metrics.rounds);
-            results.push(result.map(Arc::new));
         }
-        (results, rec)
+        let mut net = self.fresh_net();
+        if let Some(rec) = observe.as_mut().and_then(|seen| seen.trace.take()) {
+            net.set_trace(rec);
+        }
+        let prep = if key.is_some() { Prep::Warm(&self.prepared) } else { Prep::Cold };
+        let result = solve_inner(&mut net, query, self.cfg.seed, prep).map(Arc::new);
+        if let (Some(key), Ok(report)) = (key, &result) {
+            self.reports.lock().expect("report memo lock").insert(key, Arc::clone(report));
+        }
+        if let Some(seen) = observe {
+            seen.trace = net.take_trace();
+            seen.metrics = net.into_metrics();
+        }
+        result
     }
 
     /// Serves a batch of independent queries, returning one result per input
     /// in order. Repeated queries are deduplicated (solved once, the answer
-    /// shared) and the distinct ones are sharded over scoped worker threads
-    /// (`HYBRID_SESSION_THREADS` overrides the worker count). Every answer
-    /// is bit-identical to solving the batch sequentially. Reports are
-    /// shared, never copied: a memo hit returns the memo's own
-    /// [`Arc<Report>`], and the repeats of one query within the batch all
-    /// return that same allocation. On a faulty session dedup is disabled
+    /// shared) and the distinct ones are sharded over scoped worker threads,
+    /// one per available core at most. Every answer is bit-identical to
+    /// solving the batch sequentially. Reports are shared, never copied: a
+    /// memo hit returns the memo's own [`Arc<Report>`], and the repeats of
+    /// one query within the batch all return that same allocation. On a faulty session dedup is disabled
     /// along with every other cache: each input runs its own cold protocol,
     /// per the module-level contract.
     pub fn solve_batch(&self, queries: &[Query]) -> Vec<Result<Arc<Report>, HybridError>> {
@@ -542,7 +466,7 @@ impl Session {
         type Served = Result<Arc<Report>, HybridError>;
         let threads = batch_workers(unique.len());
         let results: Vec<Served> = if threads <= 1 {
-            unique.iter().map(|&i| self.solve_shared(&queries[i])).collect()
+            unique.iter().map(|&i| self.serve(&queries[i], None)).collect()
         } else {
             use std::sync::atomic::AtomicUsize;
             let slots: Vec<Mutex<Option<Served>>> =
@@ -555,7 +479,7 @@ impl Session {
                         if u >= unique.len() {
                             break;
                         }
-                        let result = self.solve_shared(&queries[unique[u]]);
+                        let result = self.serve(&queries[unique[u]], None);
                         *slots[u].lock().expect("batch slot lock") = Some(result);
                     });
                 }
@@ -569,21 +493,24 @@ impl Session {
     }
 }
 
-/// Batch worker count: `HYBRID_SESSION_THREADS` override, else the machine's
-/// parallelism, capped at the number of distinct queries. A batch of at most
-/// one distinct query runs on the caller and skips both lookups: the
-/// `available_parallelism` probe reads the affinity mask and cgroup quota
-/// files, which costs more than the memo hit it would schedule.
+/// What an observed solve hands back beside its report: the executing net's
+/// metrics and, when the caller installed a recorder, the run's trace.
+#[derive(Default)]
+struct Observed {
+    metrics: Metrics,
+    trace: Option<Recorder>,
+}
+
+/// Batch worker count: the machine's parallelism, capped at the number of
+/// distinct queries. A batch of at most one distinct query runs on the
+/// caller and skips the lookup: the `available_parallelism` probe reads the
+/// affinity mask and cgroup quota files, which costs more than the memo hit
+/// it would schedule.
 fn batch_workers(jobs: usize) -> usize {
     if jobs <= 1 {
         return 1;
     }
-    let available = std::env::var("HYBRID_SESSION_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
-    available.min(jobs).max(1)
+    std::thread::available_parallelism().map_or(1, |p| p.get()).min(jobs)
 }
 
 #[cfg(test)]
@@ -592,6 +519,7 @@ mod tests {
     use crate::solver::{solve, DiameterCorollary, KsspCorollary};
     use hybrid_graph::generators::{erdos_renyi_connected, grid};
     use hybrid_graph::NodeId;
+    use hybrid_sim::TraceEvent;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -662,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn xi_and_seed_mismatches_are_structured_errors() {
+    fn xi_mismatches_are_structured_errors() {
         let g = grid(6, 6, 1).unwrap();
         let session = Session::new(&g, SessionConfig::new(3)).unwrap();
         let q = Query::apsp().xi(2.0).build().unwrap();
@@ -671,16 +599,6 @@ mod tests {
             matches!(err, HybridError::Query(QueryError::SessionXiMismatch { got, .. }) if got == 2.0),
             "{err:?}"
         );
-        let ok = Query::apsp().build().unwrap();
-        let err = session.solve_seeded(&ok, 4).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                HybridError::Query(QueryError::SessionSeedMismatch { expected: 3, got: 4 })
-            ),
-            "{err:?}"
-        );
-        assert!(session.solve_seeded(&ok, 3).is_ok());
         // The LOCAL baselines ignore ξ and pass under any value.
         let local = Query::apsp().variant(crate::solver::ApspVariant::LocalFlood).build().unwrap();
         assert!(session.solve(&local).is_ok());
@@ -753,48 +671,23 @@ mod tests {
     }
 
     #[test]
-    fn traced_batch_matches_plain_batch_and_shows_memo_hits() {
+    fn observed_solves_memoise_the_report_they_return() {
         let g = grid(7, 7, 1).unwrap();
+        let session = Session::new(&g, SessionConfig::new(9)).unwrap();
         let a = Query::apsp().build().unwrap();
         let b = Query::sssp(NodeId::new(0)).build().unwrap();
-        let batch = vec![a.clone(), b.clone(), a.clone(), a.clone()];
-        let plain = Session::new(&g, SessionConfig::new(9)).unwrap();
-        let expected = plain.solve_batch(&batch);
-        let traced = Session::new(&g, SessionConfig::new(9)).unwrap();
-        let (results, rec) = traced.solve_batch_traced(&batch);
-        assert_eq!(results.len(), expected.len());
-        for (got, want) in results.iter().zip(&expected) {
-            assert_same_report(got.as_ref().unwrap(), want.as_ref().unwrap());
-        }
-        // One span per input, in order; the two repeats of `a` are memo hits.
-        let spans: Vec<&str> = rec
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::SpanBegin { name, .. } if name.starts_with("batch[") => {
-                    Some(name.as_str())
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            spans,
-            [
-                "batch[0]:apsp-thm11",
-                "batch[1]:sssp-thm13",
-                "batch[2]:apsp-thm11",
-                "batch[3]:apsp-thm11"
-            ]
-        );
-        let memo_hits = rec
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(e, TraceEvent::Cache { name, hit: true } if name.starts_with("report:"))
-            })
-            .count();
-        assert_eq!(memo_hits, 2);
-        assert_eq!(traced.stats().report_hits, 2);
+        let (ra, _) = session.solve_with_metrics(&a);
+        let (rb, _, _) = session.solve_traced(&b);
+        let (ra, rb) = (ra.unwrap(), rb.unwrap());
+        assert_eq!(session.stats().report_hits, 0, "observed solves always run the protocol");
+        // A later batch serves each from the memo: the allocation returned.
+        let batch = session.solve_batch(std::slice::from_ref(&a));
+        assert!(Arc::ptr_eq(&ra, batch[0].as_ref().unwrap()), "metrics solve memoised a copy");
+        assert_eq!(session.stats().report_hits, 1);
+        let batch = session.solve_batch(std::slice::from_ref(&b));
+        assert!(Arc::ptr_eq(&rb, batch[0].as_ref().unwrap()), "traced solve memoised a copy");
+        assert_eq!(session.stats().report_hits, 2);
+        assert_eq!(session.stats().queries, 4);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   run's actual exploration radius) — so verification layers read the
 //!   contract off the report instead of recomputing it per algorithm.
 //!
-//! The legacy free functions ([`crate::apsp::exact_apsp`],
-//! [`crate::ksssp::kssp_cor46`], …) remain as the internal protocol
-//! implementations — `solve` is a thin, behavior-preserving dispatcher over
-//! them, so their unit tests keep pinning protocol behavior bit-for-bit.
+//! `solve` and [`crate::session::Session`] are the only ways into the
+//! algorithms: the per-algorithm protocol functions are private to this
+//! crate. `solve` runs them with cold preprocessing; a session serves their
+//! shared preamble from its prepared artifact and answers bit-identically.
 //!
 //! # Example
 //!
@@ -46,14 +46,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
 
-use crate::apsp::{apsp_local_only, exact_apsp_prepared, exact_apsp_soda20_prepared, ApspConfig};
-use crate::diameter::{diameter_cor52_prepared, diameter_cor53_prepared, DiameterConfig};
+use crate::apsp::{apsp_local_only, exact_apsp, exact_apsp_soda20};
+use crate::diameter::{diameter_cor52, diameter_cor53};
 use crate::error::HybridError;
-use crate::ksssp::{kssp_cor46_prepared, kssp_cor47_prepared, kssp_cor48_prepared, KsspConfig};
+use crate::ksssp::{kssp_cor46, kssp_cor47, kssp_cor48};
 use crate::prepare::Prep;
-use crate::sssp::{
-    approx_sssp_soda20_prepared, exact_sssp_prepared, sssp_local_bellman_ford, SsspConfig,
-};
+use crate::sssp::{approx_sssp_soda20, exact_sssp, sssp_local_bellman_ford};
 
 /// A structurally valid query with invalid *parameters* — rejected by the
 /// builders at construction and by [`solve`] as a backstop for hand-built
@@ -91,14 +89,6 @@ pub enum QueryError {
         /// The query's ξ.
         got: f64,
     },
-    /// A [`crate::session::Session`] was asked to solve under a different
-    /// seed than the one its preprocessing was derived from.
-    SessionSeedMismatch {
-        /// The session's pinned root seed.
-        expected: u64,
-        /// The requested seed.
-        got: u64,
-    },
 }
 
 impl fmt::Display for QueryError {
@@ -122,13 +112,6 @@ impl fmt::Display for QueryError {
                     f,
                     "query ξ = {got} does not match the session's prepared ξ = {expected} \
                      (open a session with the matching constant instead of re-preprocessing)"
-                )
-            }
-            QueryError::SessionSeedMismatch { expected, got } => {
-                write!(
-                    f,
-                    "seed {got} does not match the session's root seed {expected} \
-                     (preprocessing is derived from the session seed)"
                 )
             }
         }
@@ -279,8 +262,14 @@ pub enum Query {
     Apsp {
         /// Which APSP pipeline.
         variant: ApspVariant,
-        /// Skeleton radius constant `ξ` (see [`ApspConfig::xi`]; ignored by
-        /// [`ApspVariant::LocalFlood`]).
+        /// Skeleton radius constant `ξ`. The skeleton samples each node with
+        /// probability `n^{x-1}` and joins its members by paths of up to
+        /// `h = ⌈ξ · n^{1-x} · ln n⌉` hops: `x = 1/2` for
+        /// [`ApspVariant::Thm11`] (`h = ξ·√n·ln n`), `x = 1/3` for
+        /// [`ApspVariant::Soda20`]. Lemma C.1 wants `ξ ≥ 8` for its w.h.p.
+        /// guarantee; at simulable `n` that exceeds most graph diameters, so
+        /// experiments document the value they use. Ignored by
+        /// [`ApspVariant::LocalFlood`].
         xi: f64,
     },
     /// Single-source shortest paths.
@@ -289,8 +278,16 @@ pub enum Query {
         variant: SsspVariant,
         /// The source node.
         source: NodeId,
-        /// Skeleton radius constant `ξ` (see [`SsspConfig::xi`]; ignored by
-        /// [`SsspVariant::LocalBellmanFord`]).
+        /// Skeleton radius constant `ξ`. [`SsspVariant::Thm13`] instantiates
+        /// the Theorem 4.1 framework at `δ = 1/6`, i.e. skeleton exponent
+        /// `x = 2/(3+2δ) = 3/5`: nodes are sampled into the skeleton with
+        /// probability `n^{-2/5}` (so `|V_S| ≈ n^{3/5}`) and connected by
+        /// paths of up to `h = ⌈ξ · n^{2/5} · ln n⌉` hops (pinned by the
+        /// `xi_scales_the_skeleton_radius_as_documented` test);
+        /// [`SsspVariant::ApproxSoda20`] samples at `x = 2/3`. Larger `ξ`
+        /// means a larger `h`: more local exploration rounds, but a lower
+        /// Lemma C.1 failure probability (see [`Query::Apsp::xi`]). Ignored by
+        /// [`SsspVariant::LocalBellmanFord`].
         xi: f64,
     },
     /// k-source shortest paths (Theorem 4.1 framework).
@@ -301,7 +298,10 @@ pub enum Query {
         sources: SourceSet,
         /// Approximation parameter `ε ∈ (0, 1)`.
         eps: f64,
-        /// Skeleton radius constant `ξ` (see [`KsspConfig::xi`]).
+        /// Skeleton radius constant `ξ`: the framework samples its skeleton
+        /// with exponent `x = 2/(3+2δ)` (δ declared by the corollary's CLIQUE
+        /// plugin) and joins it by paths of up to `h = ⌈ξ · n^{1-x} · ln n⌉`
+        /// hops (see [`Query::Apsp::xi`]).
         xi: f64,
     },
     /// Diameter approximation (Theorem 5.1 framework) on an unweighted graph.
@@ -310,7 +310,10 @@ pub enum Query {
         cor: DiameterCorollary,
         /// Approximation parameter `ε ∈ (0, 1)`.
         eps: f64,
-        /// Skeleton radius constant `ξ` (see [`DiameterConfig::xi`]).
+        /// Skeleton radius constant `ξ`: the framework samples its skeleton
+        /// with exponent `x = 2/(3+2δ)` (δ declared by the corollary's CLIQUE
+        /// plugin) and joins it by paths of up to `h = ⌈ξ · n^{1-x} · ln n⌉`
+        /// hops, the same role as for [`Query::Kssp`].
         xi: f64,
     },
 }
@@ -731,32 +734,37 @@ impl Report {
     /// rows (`exact[s_idx][v]`), ignoring unreachable and zero pairs. Only
     /// meaningful for [`Answer::DistanceRow`] / [`Answer::DistanceRows`].
     pub fn max_ratio_vs(&self, exact: &[Vec<Distance>]) -> f64 {
-        let rows: Vec<&[Distance]> = match &self.answer {
-            Answer::DistanceRow { dist, .. } => vec![dist.as_slice()],
-            Answer::DistanceRows { est, .. } => est.iter().map(|r| r.as_slice()).collect(),
-            _ => return 1.0,
-        };
-        let mut worst: f64 = 1.0;
-        for (row, erow) in rows.iter().zip(exact) {
-            for (&a, &e) in row.iter().zip(erow) {
-                if e == 0 || e == INFINITY || a == INFINITY {
-                    continue;
-                }
-                worst = worst.max(a as f64 / e as f64);
-            }
+        match &self.answer {
+            Answer::DistanceRow { dist, .. } => max_ratio(std::slice::from_ref(dist), exact),
+            Answer::DistanceRows { est, .. } => max_ratio(est, exact),
+            _ => 1.0,
         }
-        worst
     }
+}
+
+/// Worst ratio `rows[s][v] / exact[s][v]`, ignoring unreachable and zero
+/// pairs (1 when no pair counts).
+pub(crate) fn max_ratio(rows: &[Vec<Distance>], exact: &[Vec<Distance>]) -> f64 {
+    let mut worst: f64 = 1.0;
+    for (row, erow) in rows.iter().zip(exact) {
+        for (&a, &e) in row.iter().zip(erow) {
+            if e == 0 || e == INFINITY || a == INFINITY {
+                continue;
+            }
+            worst = worst.max(a as f64 / e as f64);
+        }
+    }
+    worst
 }
 
 /// Runs `query` on `net`, deterministically in `seed`, and returns the
 /// uniform [`Report`].
 ///
-/// This is the front door over every paper algorithm; the legacy free
-/// functions it dispatches to are bit-for-bit unchanged, so
-/// `solve(Query::…)` and the corresponding direct call produce identical
-/// distances, rounds, and message counts (pinned by the equivalence suite in
-/// `tests/solver_equivalence.rs`).
+/// This is the front door over every paper algorithm; the other is a
+/// [`crate::session::Session`], which answers many queries on one graph
+/// bit-identically while preparing their shared preamble once. Round bills
+/// and trace events of every registry scenario are pinned by
+/// `tests/round_pins.rs`.
 ///
 /// # Errors
 ///
@@ -853,10 +861,8 @@ fn run_query(
     let report = match query {
         Query::Apsp { variant, xi } => {
             let out = match variant {
-                ApspVariant::Thm11 => exact_apsp_prepared(net, ApspConfig { xi: *xi }, seed, prep)?,
-                ApspVariant::Soda20 => {
-                    exact_apsp_soda20_prepared(net, ApspConfig { xi: *xi }, seed, prep)?
-                }
+                ApspVariant::Thm11 => exact_apsp(net, *xi, seed, prep)?,
+                ApspVariant::Soda20 => exact_apsp_soda20(net, *xi, seed, prep)?,
                 ApspVariant::LocalFlood => apsp_local_only(net),
             };
             Report {
@@ -873,12 +879,11 @@ fn run_query(
             }
         }
         Query::Sssp { variant, source, xi } => {
-            let cfg = SsspConfig { xi: *xi };
             let out = match variant {
-                SsspVariant::Thm13 => exact_sssp_prepared(net, *source, cfg, seed, prep)?,
+                SsspVariant::Thm13 => exact_sssp(net, *source, *xi, seed, prep)?,
                 SsspVariant::LocalBellmanFord => sssp_local_bellman_ford(net, *source),
                 SsspVariant::ApproxSoda20 { eps } => {
-                    approx_sssp_soda20_prepared(net, *source, *eps, cfg, seed, prep)?
+                    approx_sssp_soda20(net, *source, *eps, *xi, seed, prep)?
                 }
             };
             let guarantee = if out.guaranteed_factor > 1.0 {
@@ -901,11 +906,10 @@ fn run_query(
         }
         Query::Kssp { cor, sources, eps, xi } => {
             let resolved = sources.resolve(net.n(), seed);
-            let cfg = KsspConfig { xi: *xi };
             let out = match cor {
-                KsspCorollary::Cor46 => kssp_cor46_prepared(net, &resolved, *eps, cfg, seed, prep)?,
-                KsspCorollary::Cor47 => kssp_cor47_prepared(net, &resolved, *eps, cfg, seed, prep)?,
-                KsspCorollary::Cor48 => kssp_cor48_prepared(net, &resolved, *eps, cfg, seed, prep)?,
+                KsspCorollary::Cor46 => kssp_cor46(net, &resolved, *eps, *xi, seed, prep)?,
+                KsspCorollary::Cor47 => kssp_cor47(net, &resolved, *eps, *xi, seed, prep)?,
+                KsspCorollary::Cor48 => kssp_cor48(net, &resolved, *eps, *xi, seed, prep)?,
             };
             let unweighted = net.graph().max_weight() == 1;
             let factor = out.guaranteed_factor(unweighted);
@@ -923,10 +927,9 @@ fn run_query(
             }
         }
         Query::Diameter { cor, eps, xi } => {
-            let cfg = DiameterConfig { xi: *xi };
             let out = match cor {
-                DiameterCorollary::Cor52 => diameter_cor52_prepared(net, *eps, cfg, seed, prep)?,
-                DiameterCorollary::Cor53 => diameter_cor53_prepared(net, *eps, cfg, seed, prep)?,
+                DiameterCorollary::Cor52 => diameter_cor52(net, *eps, *xi, seed, prep)?,
+                DiameterCorollary::Cor53 => diameter_cor53(net, *eps, *xi, seed, prep)?,
             };
             let factor = out.guaranteed_factor();
             Report {

@@ -16,38 +16,8 @@ use hybrid_graph::{Distance, NodeId, INFINITY};
 use hybrid_sim::HybridNet;
 
 use crate::error::HybridError;
-use crate::ksssp::{kssp_framework_prepared, KsspConfig, KsspOutcome};
+use crate::ksssp::{kssp_framework, KsspOutcome};
 use crate::prepare::Prep;
-
-/// Configuration of the SSSP runs — its own parameter set, no longer borrowed
-/// from the k-SSP framework config.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SsspConfig {
-    /// The skeleton radius constant `ξ`. [`exact_sssp`] instantiates the
-    /// Theorem 4.1 framework at `δ = 1/6`, i.e. skeleton exponent
-    /// `x = 2/(3+2δ) = 3/5`: nodes are sampled into the skeleton with
-    /// probability `n^{-2/5}` (so `|V_S| ≈ n^{3/5}`) and connected by paths of
-    /// up to `h = ⌈ξ · n^{2/5} · ln n⌉` hops (pinned by the
-    /// `xi_scales_the_skeleton_radius_as_documented` test). Larger `ξ` means a
-    /// larger `h` — more local exploration rounds, but a lower Lemma C.1
-    /// failure probability (the paper's w.h.p. guarantee wants `ξ ≥ 8`, which
-    /// exceeds most graph diameters at simulable `n`; experiments document the
-    /// value they use).
-    pub xi: f64,
-}
-
-impl Default for SsspConfig {
-    fn default() -> Self {
-        SsspConfig { xi: 1.5 }
-    }
-}
-
-impl SsspConfig {
-    /// The framework config this parameter set translates to internally.
-    fn framework(self) -> KsspConfig {
-        KsspConfig { xi: self.xi }
-    }
-}
 
 /// Result of an SSSP run.
 #[derive(Debug, Clone)]
@@ -67,30 +37,21 @@ pub struct SsspOutcome {
     pub guaranteed_factor: f64,
 }
 
-/// Exact SSSP in `Õ(n^{2/5})` rounds (Theorem 1.3).
+/// Exact SSSP in `Õ(n^{2/5})` rounds (Theorem 1.3), with skeleton radius
+/// constant `xi` (see [`crate::solver::Query::Sssp`]).
 ///
 /// # Errors
 ///
 /// Propagates framework errors.
-pub fn exact_sssp(
+pub(crate) fn exact_sssp(
     net: &mut HybridNet<'_>,
     source: NodeId,
-    cfg: SsspConfig,
-    seed: u64,
-) -> Result<SsspOutcome, HybridError> {
-    exact_sssp_prepared(net, source, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn exact_sssp_prepared(
-    net: &mut HybridNet<'_>,
-    source: NodeId,
-    cfg: SsspConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<SsspOutcome, HybridError> {
     let alg = DeclaredKssp::exact_sssp();
-    let out: KsspOutcome =
-        kssp_framework_prepared(net, &alg, &[source], cfg.framework(), seed, prep)?;
+    let out: KsspOutcome = kssp_framework(net, &alg, &[source], xi, seed, prep)?;
     Ok(SsspOutcome {
         source,
         dist: out.est.into_iter().next().expect("one source row"),
@@ -112,21 +73,11 @@ pub(crate) fn exact_sssp_prepared(
 /// # Errors
 ///
 /// Propagates framework errors.
-pub fn approx_sssp_soda20(
+pub(crate) fn approx_sssp_soda20(
     net: &mut HybridNet<'_>,
     source: NodeId,
     eps: f64,
-    cfg: SsspConfig,
-    seed: u64,
-) -> Result<SsspOutcome, HybridError> {
-    approx_sssp_soda20_prepared(net, source, eps, cfg, seed, Prep::Cold)
-}
-
-pub(crate) fn approx_sssp_soda20_prepared(
-    net: &mut HybridNet<'_>,
-    source: NodeId,
-    eps: f64,
-    cfg: SsspConfig,
+    xi: f64,
     seed: u64,
     prep: Prep<'_>,
 ) -> Result<SsspOutcome, HybridError> {
@@ -140,8 +91,7 @@ pub(crate) fn approx_sssp_soda20_prepared(
         clique_sim::Beta::Zero,
         Some(hybrid_sim::derive_seed(seed, 0xBCC)),
     );
-    let out: KsspOutcome =
-        kssp_framework_prepared(net, &alg, &[source], cfg.framework(), seed, prep)?;
+    let out: KsspOutcome = kssp_framework(net, &alg, &[source], xi, seed, prep)?;
     let factor = out.guaranteed_factor(false);
     Ok(SsspOutcome {
         source,
@@ -156,7 +106,7 @@ pub(crate) fn approx_sssp_soda20_prepared(
 /// Baseline: exact SSSP by distributed Bellman–Ford over the *local* network
 /// only. One relaxation per round; terminates after `SPD_source + 1` rounds
 /// (all charged).
-pub fn sssp_local_bellman_ford(net: &mut HybridNet<'_>, source: NodeId) -> SsspOutcome {
+pub(crate) fn sssp_local_bellman_ford(net: &mut HybridNet<'_>, source: NodeId) -> SsspOutcome {
     let g = net.graph();
     let n = g.len();
     let mut dist = vec![INFINITY; n];
@@ -207,7 +157,7 @@ mod tests {
             let source = NodeId::new(n / 2);
             let exact = dijkstra(&g, source);
             let mut net = HybridNet::new(&g, HybridConfig::default());
-            let out = exact_sssp(&mut net, source, SsspConfig::default(), 5).unwrap();
+            let out = exact_sssp(&mut net, source, 1.5, 5, Prep::Cold).unwrap();
             assert_eq!(out.dist.as_slice(), exact.as_slice());
             assert!(out.skeleton_size >= 1);
         }
@@ -228,7 +178,7 @@ mod tests {
 
     #[test]
     fn xi_scales_the_skeleton_radius_as_documented() {
-        // ξ's meaning for SSSP, pinned so the `SsspConfig::xi` docs cannot
+        // ξ's meaning for SSSP, pinned so the `Query::Sssp::xi` docs cannot
         // drift: at δ = 1/6 the framework samples with exponent x = 3/5, so
         // h = ⌈ξ · n^{1-x} · ln n⌉ (no Lemma C.1 remediation on this dense
         // instance). Larger ξ ⇒ strictly larger h.
@@ -239,7 +189,7 @@ mod tests {
         let mut prev_h = 0usize;
         for xi in [0.5, 1.0, 2.0] {
             let mut net = HybridNet::new(&g, HybridConfig::default());
-            let out = exact_sssp(&mut net, NodeId::new(7), SsspConfig { xi }, 11).unwrap();
+            let out = exact_sssp(&mut net, NodeId::new(7), xi, 11, Prep::Cold).unwrap();
             let predicted = ((xi * n.powf(1.0 - x) * n.ln()).ceil() as usize).max(1);
             assert_eq!(out.h, predicted, "xi = {xi}");
             assert!(out.h > prev_h, "h must grow with ξ");
@@ -255,7 +205,7 @@ mod tests {
         let source = NodeId::new(4);
         let exact = dijkstra(&g, source);
         let mut net = HybridNet::new(&g, HybridConfig::default());
-        let out = approx_sssp_soda20(&mut net, source, 0.25, SsspConfig::default(), 9).unwrap();
+        let out = approx_sssp_soda20(&mut net, source, 0.25, 1.5, 9, Prep::Cold).unwrap();
         for v in g.nodes() {
             let (e, a) = (exact.dist(v), out.dist[v.index()]);
             assert!(a >= e, "never underestimates");
@@ -272,7 +222,7 @@ mod tests {
         let g = path_with_heavy_hub(500, 1000).unwrap();
         let source = NodeId::new(0);
         let mut net_a = HybridNet::new(&g, HybridConfig::default());
-        let a = exact_sssp(&mut net_a, source, SsspConfig { xi: 0.8 }, 3).unwrap();
+        let a = exact_sssp(&mut net_a, source, 0.8, 3, Prep::Cold).unwrap();
         let mut net_b = HybridNet::new(&g, HybridConfig::default());
         let b = sssp_local_bellman_ford(&mut net_b, source);
         assert_eq!(a.dist, b.dist);

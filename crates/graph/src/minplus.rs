@@ -12,9 +12,9 @@
 //! over the `(min, +)` semiring with [`INFINITY`] absorbing. This module is
 //! that operation, implemented once: a cache-tiled, branch-free inner loop
 //! ([`min_plus_into`]) and a thread-parallel row driver
-//! ([`par_min_plus_into`], worker count = `available_parallelism`, overridable
-//! with `HYBRID_MINPLUS_THREADS`). Results are exact minima, so they are
-//! bit-identical regardless of tiling or thread count.
+//! ([`par_min_plus_into`], worker count = `available_parallelism`). Results
+//! are exact minima, so they are bit-identical regardless of tiling or thread
+//! count.
 
 use crate::dist::{Distance, INFINITY};
 
@@ -67,14 +67,9 @@ pub fn min_plus_into(
 }
 
 /// Worker count for the parallel drivers: the smaller of the available cores
-/// (or the `HYBRID_MINPLUS_THREADS` override) and the row count.
+/// and the row count.
 fn worker_count(rows: usize) -> usize {
-    let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-    let configured = std::env::var("HYBRID_MINPLUS_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t > 0);
-    configured.unwrap_or(hw).min(rows).max(1)
+    std::thread::available_parallelism().map_or(1, |v| v.get()).min(rows).max(1)
 }
 
 /// Output rows below which [`par_min_plus_into`] stays sequential (thread

@@ -350,15 +350,9 @@ fn run_scenario_inner(
     (report, rec)
 }
 
-/// Worker-thread count: `HYBRID_SCENARIO_THREADS` override, else the machine's
-/// parallelism, capped at the batch size.
+/// Worker-thread count: the machine's parallelism, capped at the batch size.
 fn worker_count(jobs: usize) -> usize {
-    let available = std::env::var("HYBRID_SCENARIO_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
-    available.min(jobs).max(1)
+    std::thread::available_parallelism().map_or(1, |p| p.get()).min(jobs)
 }
 
 /// Runs every scenario in `batch` at size ≈ `n` on scoped worker threads and

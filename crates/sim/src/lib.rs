@@ -68,4 +68,4 @@ pub use fault::{Crash, FaultPlan};
 pub use metrics::{Metrics, PhaseStats};
 pub use net::{HybridNet, SimError};
 pub use rng::derive_seed;
-pub use trace::{Recorder, TraceEvent, TraceSink};
+pub use trace::{Recorder, TraceEvent};

@@ -228,14 +228,6 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of trace events. The buffered [`Recorder`] is the sink the
-/// net writes into; exporters and tests implement this to walk a recorded
-/// buffer via [`Recorder::replay`].
-pub trait TraceSink {
-    /// Consumes one event.
-    fn record(&mut self, ev: TraceEvent);
-}
-
 /// Event-derived aggregate totals (see [`Recorder::totals`]) — the left-hand
 /// side of [`Recorder::reconcile`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -379,12 +371,6 @@ impl Default for Recorder {
     }
 }
 
-impl TraceSink for Recorder {
-    fn record(&mut self, ev: TraceEvent) {
-        Recorder::record(self, ev);
-    }
-}
-
 impl Recorder {
     /// An empty recorder; its wall-clock epoch is now.
     pub fn new() -> Self {
@@ -431,19 +417,6 @@ impl Recorder {
     /// tests compare across runs and thread budgets.
     pub fn events_sans_wall(&self) -> Vec<TraceEvent> {
         self.events.iter().map(TraceEvent::sans_wall).collect()
-    }
-
-    /// Appends another recorder's events (batch items are merged in item
-    /// order; wall clocks stay relative to each recorder's own epoch).
-    pub fn merge(&mut self, other: &Recorder) {
-        self.events.extend(other.events.iter().cloned());
-    }
-
-    /// Feeds every buffered event to a sink, in order.
-    pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
-        for ev in &self.events {
-            sink.record(ev.clone());
-        }
     }
 
     /// Event-derived aggregate totals.
@@ -954,21 +927,5 @@ mod tests {
         // The outer span covers the inner one's rounds plus its own.
         let solve_line = text.lines().find(|l| l.contains("solve:apsp")).unwrap();
         assert!(solve_line.contains("rounds        7"), "{solve_line}");
-    }
-
-    #[test]
-    fn replay_feeds_a_custom_sink() {
-        struct Counter(usize);
-        impl TraceSink for Counter {
-            fn record(&mut self, _: TraceEvent) {
-                self.0 += 1;
-            }
-        }
-        let mut rec = Recorder::new();
-        rec.record(TraceEvent::Local { phase: "p".into(), rounds: 1 });
-        rec.record(exchange_ev("q", 1, 1));
-        let mut c = Counter(0);
-        rec.replay(&mut c);
-        assert_eq!(c.0, 2);
     }
 }

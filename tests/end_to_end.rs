@@ -11,6 +11,7 @@ use hybrid_shortest_paths::graph::generators::{
     random_tree,
 };
 use hybrid_shortest_paths::graph::{Distance, Graph, NodeId, INFINITY};
+use hybrid_shortest_paths::scenarios::workloads::random_nodes;
 use hybrid_shortest_paths::sim::{HybridConfig, HybridNet};
 use hybrid_shortest_paths::{
     solve, ApspVariant, DiameterCorollary, Guarantee, KsspCorollary, Query, SsspVariant,
@@ -47,36 +48,46 @@ fn apsp_exact_across_families() {
     }
 }
 
-/// Theorem 1.1 where only the skeleton route can answer: on a 400-cycle the
-/// hop diameter (200) exceeds the skeleton budget h = ξ·√n·ln n = 180, so
-/// every pair more than 180 hops apart is unreachable in each node's h-hop-
-/// gated local row and must come from the routed connector labels
-/// (`near ⊗ labels`). A wrong routed payload, or a skipped skeleton merge,
-/// breaks the matrix.
+/// Both APSP pipelines where only the skeleton route can answer: on a
+/// 400-cycle the hop diameter (200) exceeds the skeleton budget h, so every
+/// pair more than h hops apart is unreachable in each node's h-hop-gated
+/// local row and must come from the skeleton labels (`near ⊗ labels`) —
+/// routed connector labels for Theorem 1.1 (h = ξ·√n·ln n = 180 at ξ = 1.5),
+/// disseminated `d_h` labels for the SODA'20 baseline (h = 163 at ξ = 0.5;
+/// at ξ = 1.5 its h = 488 would cover the whole cycle). A wrong label, or a
+/// skipped skeleton merge, breaks the matrix.
 #[test]
 fn apsp_long_cycle_is_decided_by_the_routed_labels() {
     let g = cycle(400, 3).unwrap();
-    let query = Query::apsp().xi(1.5).build().unwrap();
-    let mut net = HybridNet::new(&g, HybridConfig::default());
-    let report = solve(&mut net, &query, 5).unwrap();
-    assert_eq!(report.h, 180);
-    assert_eq!(report.rounds, 594);
-    let out = report.distances().expect("matrix answer");
     let exact = apsp(&g);
-    let h = report.h as Distance;
-    let mut routed_only = 0usize;
-    for u in g.nodes() {
-        let (dist, hops) = dijkstra_lex(&g, u);
-        for v in g.nodes() {
-            assert_eq!(out.get(u, v), exact.get(u, v), "pair ({u}, {v})");
-            let gated = if hops[v.index()] <= h { dist[v.index()] } else { INFINITY };
-            if out.get(u, v) < gated {
-                routed_only += 1;
+    // Per node for Thm 1.1: the 19 hop distances 181..=199 twice each, plus
+    // the antipode; for SODA'20 the 36 distances 164..=199 twice each, plus
+    // the antipode.
+    for (variant, xi, pinned_h, pinned_rounds, pinned_routed) in [
+        (ApspVariant::Thm11, 1.5, 180, 594, 400 * 39),
+        (ApspVariant::Soda20, 0.5, 163, 349, 400 * 73),
+    ] {
+        let query = Query::apsp().variant(variant).xi(xi).build().unwrap();
+        let mut net = HybridNet::new(&g, HybridConfig::default());
+        let report = solve(&mut net, &query, 5).unwrap();
+        let label = report.label();
+        assert_eq!(report.h, pinned_h, "{label}");
+        assert_eq!(report.rounds, pinned_rounds, "{label}");
+        let out = report.distances().expect("matrix answer");
+        let h = report.h as Distance;
+        let mut routed_only = 0usize;
+        for u in g.nodes() {
+            let (dist, hops) = dijkstra_lex(&g, u);
+            for v in g.nodes() {
+                assert_eq!(out.get(u, v), exact.get(u, v), "{label}: pair ({u}, {v})");
+                let gated = if hops[v.index()] <= h { dist[v.index()] } else { INFINITY };
+                if out.get(u, v) < gated {
+                    routed_only += 1;
+                }
             }
         }
+        assert_eq!(routed_only, pinned_routed, "{label}");
     }
-    // Per node: the 19 hop distances 181..=199 twice each, plus the antipode.
-    assert_eq!(routed_only, 400 * 39);
 }
 
 #[test]
@@ -117,6 +128,14 @@ fn sssp_exact_across_families() {
 fn kssp_guarantees_across_families() {
     for (name, g) in families(4) {
         let n = g.len();
+        // `SourceSet::Random { k }` resolves to the nodes the scenario engine
+        // picks with `workloads::random_nodes`.
+        let query = Query::kssp(KsspCorollary::Cor47).random_sources(4).xi(2.0).build().unwrap();
+        let mut net = HybridNet::new(&g, HybridConfig::default());
+        let report = solve(&mut net, &query, 31).unwrap();
+        let (resolved, _) = report.distance_rows().expect("rows answer");
+        assert_eq!(resolved, random_nodes(n, 4, 31).as_slice(), "{name}");
+
         let mut rng = StdRng::seed_from_u64(5);
         let mut sources: Vec<NodeId> = (0..5).map(|_| NodeId::new(rng.gen_range(0..n))).collect();
         sources.sort_unstable();
