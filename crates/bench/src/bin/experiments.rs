@@ -8,7 +8,6 @@
 //! cargo run --release -p hybrid-bench --bin experiments -- --large e2 e4
 //! cargo run --release -p hybrid-bench --bin experiments -- --list
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke
-//! cargo run --release -p hybrid-bench --bin experiments -- --smoke --via-session
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke --filter faulty
 //! cargo run --release -p hybrid-bench --bin experiments -- --trace traces/
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke --trace traces/
@@ -24,9 +23,6 @@
 //!   serving loop, gated on ≥ 2× incremental speedup, threshold-exact
 //!   fallback and zero bit-identity mismatches), and exits non-zero on any
 //!   failure — the CI gate.
-//! * `--via-session` makes `--smoke` execute every suite through a serving
-//!   `Session` instead of a cold `solve` — the CI guard that the session
-//!   path answers bit-identically under golden verification.
 //! * `--filter <tag>` restricts scenario selection (for `--list`, `--smoke`
 //!   and `e16`); a tag that no scenario carries exits with status 2.
 //! * `--trace <dir>` writes one Chrome-trace JSON (`<name>.trace.json`,
@@ -87,10 +83,10 @@ fn main() {
                 trace_flag = true;
                 trace_dir = iter.next().map(std::path::PathBuf::from);
             }
-            "--small" | "--large" | "--list" | "--smoke" | "--via-session" => {}
+            "--small" | "--large" | "--list" | "--smoke" => {}
             flag if flag.starts_with("--") => usage_error(&format!(
-                "unknown flag {flag} (flags: --small, --large, --list, --smoke, --via-session, \
-                 --filter <tag>, --trace <dir>)"
+                "unknown flag {flag} (flags: --small, --large, --list, --smoke, --filter <tag>, \
+                 --trace <dir>)"
             )),
             id if id == "all" || runs.iter().any(|(r, _)| *r == id) => wanted.push(id),
             id => usage_error(&format!("unknown experiment id {id:?} (e1 … e16, or all)")),
@@ -105,16 +101,6 @@ fn main() {
     };
     let list = args.iter().any(|a| a == "--list");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let engine = if args.iter().any(|a| a == "--via-session") {
-        hybrid_scenarios::Engine::Session
-    } else {
-        hybrid_scenarios::Engine::Fresh
-    };
-    // Like a dangling --filter: a flag no code path will consult must error,
-    // not silently run the Fresh engine.
-    if engine == hybrid_scenarios::Engine::Session && !smoke {
-        usage_error("--via-session applies to --smoke runs only; nothing here consults it");
-    }
     if filter_flag && filter.is_none() {
         usage_error("--filter requires a tag (see --list for the registry's tags)");
     }
@@ -172,12 +158,11 @@ fn main() {
 
     if smoke {
         eprintln!(
-            "running scenario smoke matrix (n = {}, filter = {}, engine = {:?})...",
+            "running scenario smoke matrix (n = {}, filter = {})...",
             ex::SMOKE_N,
             filter.as_deref().unwrap_or("<none>"),
-            engine,
         );
-        let reports = ex::scenario_reports_with(Scale::Small, filter.as_deref(), engine);
+        let reports = ex::scenario_reports(Scale::Small, filter.as_deref());
         let failures = reports.iter().filter(|r| !r.passed()).count();
         ex::scenario_table(&reports).print();
         // The churn repair sweep rides every smoke run: patch-vs-full wall

@@ -25,9 +25,7 @@ use hybrid_graph::generators::{cycle, grid, path_with_heavy_hub};
 use hybrid_graph::skeleton::{count_coverage_violations, count_distance_violations};
 use hybrid_graph::{DeltaBatch, Distance, Graph, GraphDelta, NodeId, INFINITY};
 use hybrid_scenarios::workloads::{er, random_nodes};
-use hybrid_scenarios::{
-    registry, run_scenario_traced, run_scenarios_with, Engine, Scenario, ScenarioReport,
-};
+use hybrid_scenarios::{registry, run_scenario_traced, run_scenarios, Scenario, ScenarioReport};
 use hybrid_serve::{
     run_load, Broker, BrokerConfig, GraphCatalog, LoadReport, LoadSpec, LoadUpdate, TenantConfig,
 };
@@ -919,27 +917,17 @@ pub fn churn_gate_violations(sweep: &ChurnSweep) -> Vec<String> {
 /// Node count for smoke-scale scenario runs (tiny-n full-matrix).
 pub const SMOKE_N: usize = 48;
 
-/// Runs the scenario registry (optionally filtered by tag) under the
-/// [`Engine::Fresh`] path; see [`scenario_reports_with`].
-pub fn scenario_reports(scale: Scale, filter: Option<&str>) -> Vec<ScenarioReport> {
-    scenario_reports_with(scale, filter, Engine::Fresh)
-}
-
-/// Runs the scenario registry (optionally filtered by tag) under the chosen
-/// execution engine: at [`Scale::Small`] every scenario runs at [`SMOKE_N`]
-/// in one parallel batch; otherwise scenarios run at their own `default_n`,
+/// Runs the scenario registry (optionally filtered by tag) through cold
+/// solves: at [`Scale::Small`] every scenario runs at [`SMOKE_N`] in one
+/// parallel batch; otherwise scenarios run at their own `default_n`,
 /// batched by size so the parallel runner still applies.
-pub fn scenario_reports_with(
-    scale: Scale,
-    filter: Option<&str>,
-    engine: Engine,
-) -> Vec<ScenarioReport> {
+pub fn scenario_reports(scale: Scale, filter: Option<&str>) -> Vec<ScenarioReport> {
     let selected: Vec<&Scenario> = match filter {
         Some(tag) => hybrid_scenarios::by_tag(tag),
         None => registry().iter().collect(),
     };
     match scale {
-        Scale::Small => run_scenarios_with(&selected, SMOKE_N, engine),
+        Scale::Small => run_scenarios(&selected, SMOKE_N),
         Scale::Full | Scale::Large => {
             let mut sizes: Vec<usize> = selected.iter().map(|s| s.default_n).collect();
             sizes.sort_unstable();
@@ -948,7 +936,7 @@ pub fn scenario_reports_with(
             for n in sizes {
                 let group: Vec<&Scenario> =
                     selected.iter().copied().filter(|s| s.default_n == n).collect();
-                out.extend(run_scenarios_with(&group, n, engine));
+                out.extend(run_scenarios(&group, n));
             }
             out
         }

@@ -25,6 +25,7 @@ fn unknown_experiment_id_exits_2() {
 fn removed_and_unknown_flags_exit_2() {
     assert_eq!(exit_code(&["--json"]), Some(2));
     assert_eq!(exit_code(&["--serve", "--smoke"]), Some(2));
+    assert_eq!(exit_code(&["--smoke", "--via-session"]), Some(2));
 }
 
 #[test]

@@ -64,7 +64,7 @@ pub fn aggregate_all<T, F>(
     mut combine: F,
 ) -> Result<Option<T>, HybridError>
 where
-    T: Clone + Send + Sync,
+    T: Clone,
     F: FnMut(T, T) -> T,
 {
     let n = net.n();

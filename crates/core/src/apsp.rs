@@ -18,7 +18,7 @@ use hybrid_graph::dijkstra::par_lex_rows_with;
 use hybrid_graph::minplus::par_min_plus_into;
 use hybrid_graph::skeleton::Skeleton;
 use hybrid_graph::{dist_add, Distance, NodeId, INFINITY};
-use hybrid_sim::{derive_seed, par, HybridNet};
+use hybrid_sim::{derive_seed, HybridNet};
 
 use crate::dissemination::disseminate;
 use crate::error::HybridError;
@@ -113,32 +113,23 @@ pub(crate) fn exact_apsp(
     let ns = skeleton.len();
 
     // Every node v derives d(v, s) and its connector for every skeleton node
-    // s — an independent per-node step, sharded across the round-engine
-    // worker budget (each shard owns a contiguous band of rows). Connector
-    // indices are skeleton-local and fit u32 — half the table footprint.
+    // s. Connector indices are skeleton-local and fit u32 — half the table
+    // footprint.
     let near = near_phase(net, &art, NearTie::HopThenIndex, "apsp:fallback");
     const NO_CONN: u32 = u32::MAX;
     let mut conn = vec![NO_CONN; n * ns];
     let mut dvs = vec![INFINITY; n * ns];
-    par::map_shards_mut2(
-        net.round_threads(),
-        n,
-        (&mut conn, ns),
-        (&mut dvs, ns),
-        |start, crows, drows| {
-            for (i, (crow, drow)) in crows.chunks_mut(ns).zip(drows.chunks_mut(ns)).enumerate() {
-                for (u, dvu) in near.node(start + i) {
-                    for s in 0..ns {
-                        let cand = dist_add(dvu, d_s.get(NodeId::new(u), NodeId::new(s)));
-                        if cand < drow[s] {
-                            drow[s] = cand;
-                            crow[s] = u as u32;
-                        }
-                    }
+    for (v, (crow, drow)) in conn.chunks_mut(ns).zip(dvs.chunks_mut(ns)).enumerate() {
+        for (u, dvu) in near.node(v) {
+            for s in 0..ns {
+                let cand = dist_add(dvu, d_s.get(NodeId::new(u), NodeId::new(s)));
+                if cand < drow[s] {
+                    drow[s] = cand;
+                    crow[s] = u as u32;
                 }
             }
-        },
-    );
+        }
+    }
 
     // Token routing: v sends ⟨d_h(v, s'), ID(v), ID(s')⟩ to each skeleton node s.
     let members = skeleton.nodes();
@@ -172,32 +163,19 @@ pub(crate) fn exact_apsp(
         global_to_local[m.index()] = i as u32;
     }
     let mut labels = vec![INFINITY; ns * n];
-    {
-        let threads = net.round_threads();
-        par::map_shards_mut(
-            threads,
-            labels.chunks_mut(n).collect::<Vec<_>>().as_mut_slice(),
-            |start, rows| {
-                for (i, row) in rows.iter_mut().enumerate() {
-                    let s_local = start + i;
-                    let s_global = members[s_local];
-                    row[s_global.index()] = 0;
-                    for t in routed.for_receiver(s_global) {
-                        let (dvu, u_global) = t.payload;
-                        let u_local = global_to_local[u_global.index()];
-                        debug_assert_ne!(u_local, u32::MAX, "connector must be a skeleton member");
-                        let v = t.label.s;
-                        let d = dist_add(
-                            d_s.get(NodeId::new(s_local), NodeId::new(u_local as usize)),
-                            dvu,
-                        );
-                        if d < row[v.index()] {
-                            row[v.index()] = d;
-                        }
-                    }
-                }
-            },
-        );
+    for (s_local, row) in labels.chunks_mut(n).enumerate() {
+        let s_global = members[s_local];
+        row[s_global.index()] = 0;
+        for t in routed.for_receiver(s_global) {
+            let (dvu, u_global) = t.payload;
+            let u_local = global_to_local[u_global.index()];
+            debug_assert_ne!(u_local, u32::MAX, "connector must be a skeleton member");
+            let v = t.label.s;
+            let d = dist_add(d_s.get(NodeId::new(s_local), NodeId::new(u_local as usize)), dvu);
+            if d < row[v.index()] {
+                row[v.index()] = d;
+            }
+        }
     }
     net.charge_local(skeleton.h() as u64, "apsp:labels-local");
 

@@ -19,7 +19,7 @@ use clique_sim::diameter::{DeclaredDiameter32, DeclaredDiameterAlgebraic};
 use clique_sim::CliqueDiameterAlgorithm;
 use hybrid_graph::bfs::local_max_hop;
 use hybrid_graph::{Distance, NodeId, INFINITY};
-use hybrid_sim::{derive_seed, par, HybridNet};
+use hybrid_sim::{derive_seed, HybridNet};
 
 use crate::aggregate::aggregate_all;
 use crate::clique_on_skeleton::simulate_diameter_on_skeleton;
@@ -97,15 +97,9 @@ pub(crate) fn diameter_framework<A: CliqueDiameterAlgorithm + ?Sized>(
     let explore = ((eta * h as f64).ceil() as u64).max(1) + 1;
     net.charge_local(explore, "diam:local-exploration");
     let g = net.graph();
-    // Every node measures h_v in its own ball — a per-node protocol step,
-    // sharded across the round-engine worker budget (shard order keeps the
-    // result vector identical to the sequential sweep).
-    let h_values: Vec<Option<u64>> = par::map_index_shards(net.round_threads(), g.len(), |range| {
-        range.map(|v| Some(local_max_hop(g, NodeId::new(v), explore as usize))).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    // Every node measures h_v in its own ball.
+    let h_values: Vec<Option<u64>> =
+        g.nodes().map(|v| Some(local_max_hop(g, v, explore as usize))).collect();
 
     // Step 4: global max-aggregation of ĥ (Lemma B.2, O(log n) rounds).
     let h_hat =

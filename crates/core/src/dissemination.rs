@@ -20,7 +20,7 @@
 
 use hybrid_graph::bfs::multi_source_bfs;
 use hybrid_graph::{NodeId, INFINITY};
-use hybrid_sim::{derive_seed, par, Envelope, FlatInboxes, HybridNet};
+use hybrid_sim::{derive_seed, Envelope, FlatInboxes, HybridNet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -110,13 +110,9 @@ pub fn disseminate(
     }
     let cap = net.send_cap();
 
-    // Up phase: pipeline tokens to class roots. One reusable outbox, one
-    // flat-inbox arena, and one set of pre-split shard buffers serve every
-    // round — the per-round loop is allocation-free in steady state, and the
-    // per-node outbox construction runs sharded across the round-engine
-    // worker budget (every node acts simultaneously; shard order reproduces
-    // the sequential `v = 0..n` outbox exactly).
-    let threads = net.round_threads();
+    // Up phase: pipeline tokens to class roots. One reusable outbox and one
+    // flat-inbox arena serve every round, so the per-round loop is
+    // allocation-free in steady state.
     let mut up: Vec<Vec<u32>> = holding;
     let mut at_root: Vec<Vec<u32>> = vec![Vec::new(); c];
     // Roots keep their own tokens immediately.
@@ -128,23 +124,19 @@ pub fn disseminate(
     let up_phase = format!("{phase}:tree-up");
     let mut outbox: Vec<Envelope<u32>> = Vec::new();
     let mut flat: FlatInboxes<u32> = FlatInboxes::new();
-    let mut shard_bufs: Vec<Vec<Envelope<u32>>> = Vec::new();
     loop {
         outbox.clear();
-        par::extend_sharded(threads, &mut up, &mut outbox, &mut shard_bufs, |start, shard, buf| {
-            for (i, q) in shard.iter_mut().enumerate() {
-                if q.is_empty() {
-                    continue;
-                }
-                let v = start + i;
-                let parent_rank = (rank[v] - 1) / 2;
-                let parent = class_members[color_of_node[v]][parent_rank];
-                let take = cap.min(q.len());
-                for j in q.drain(..take) {
-                    buf.push(Envelope::new(NodeId::new(v), parent, j));
-                }
+        for (v, q) in up.iter_mut().enumerate() {
+            if q.is_empty() {
+                continue;
             }
-        });
+            let parent_rank = (rank[v] - 1) / 2;
+            let parent = class_members[color_of_node[v]][parent_rank];
+            let take = cap.min(q.len());
+            for j in q.drain(..take) {
+                outbox.push(Envelope::new(NodeId::new(v), parent, j));
+            }
+        }
         if outbox.is_empty() {
             break;
         }
@@ -173,34 +165,25 @@ pub fn disseminate(
     let down_phase = format!("{phase}:tree-down");
     loop {
         outbox.clear();
-        par::extend_sharded(
-            threads,
-            &mut down,
-            &mut outbox,
-            &mut shard_bufs,
-            |start, shard, buf| {
-                for (i, q) in shard.iter_mut().enumerate() {
-                    if q.is_empty() {
-                        continue;
-                    }
-                    let v = start + i;
-                    let members = &class_members[color_of_node[v]];
-                    let kid_a = 2 * rank[v] + 1;
-                    let kid_b = 2 * rank[v] + 2;
-                    if kid_a >= members.len() {
-                        q.clear();
-                        continue;
-                    }
-                    let take = per_child.min(q.len());
-                    for j in q.drain(..take) {
-                        buf.push(Envelope::new(NodeId::new(v), members[kid_a], j));
-                        if kid_b < members.len() {
-                            buf.push(Envelope::new(NodeId::new(v), members[kid_b], j));
-                        }
-                    }
+        for (v, q) in down.iter_mut().enumerate() {
+            if q.is_empty() {
+                continue;
+            }
+            let members = &class_members[color_of_node[v]];
+            let kid_a = 2 * rank[v] + 1;
+            let kid_b = 2 * rank[v] + 2;
+            if kid_a >= members.len() {
+                q.clear();
+                continue;
+            }
+            let take = per_child.min(q.len());
+            for j in q.drain(..take) {
+                outbox.push(Envelope::new(NodeId::new(v), members[kid_a], j));
+                if kid_b < members.len() {
+                    outbox.push(Envelope::new(NodeId::new(v), members[kid_b], j));
                 }
-            },
-        );
+            }
+        }
         if outbox.is_empty() {
             break;
         }

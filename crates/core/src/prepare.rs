@@ -22,7 +22,7 @@ use hybrid_graph::apsp::DistanceMatrix;
 use hybrid_graph::dijkstra::par_map_rows;
 use hybrid_graph::skeleton::Skeleton;
 use hybrid_graph::{Distance, Graph, NodeId, INFINITY};
-use hybrid_sim::{par, HybridNet};
+use hybrid_sim::HybridNet;
 
 use crate::error::HybridError;
 use crate::skeleton_ops::compute_skeleton;
@@ -425,12 +425,11 @@ pub(crate) fn near_phase(
     phase: &str,
 ) -> Arc<NearData> {
     let g = net.graph();
-    let threads = net.round_threads();
     let slot = match tie {
         NearTie::HopThenIndex => &art.near_hop,
         NearTie::IndexOnly => &art.near_plain,
     };
-    let data = slot.get_or_init(|| Arc::new(compute_near(g, threads, &art.skeleton, tie))).clone();
+    let data = slot.get_or_init(|| Arc::new(compute_near(g, &art.skeleton, tie))).clone();
     if tie == NearTie::HopThenIndex && data.extra_rounds > 0 {
         net.charge_local(data.extra_rounds, phase);
     }
@@ -438,22 +437,12 @@ pub(crate) fn near_phase(
 }
 
 /// Computes the nearby-skeleton arena: per-node lists from the skeleton's
-/// `d_h` table (sharded across the round-engine worker budget), then one
-/// parallel lexicographic Dijkstra per uncovered node.
-pub(crate) fn compute_near(
-    g: &Graph,
-    threads: usize,
-    skeleton: &Skeleton,
-    tie: NearTie,
-) -> NearData {
+/// `d_h` table, then one parallel lexicographic Dijkstra per uncovered node.
+pub(crate) fn compute_near(g: &Graph, skeleton: &Skeleton, tie: NearTie) -> NearData {
     let n = g.len();
     let ns = skeleton.len();
-    let mut lists: Vec<Vec<(usize, Distance)>> = vec![Vec::new(); n];
-    par::map_shards_mut(threads, &mut lists, |start, shard| {
-        for (i, slot) in shard.iter_mut().enumerate() {
-            *slot = skeleton.skeletons_near(NodeId::new(start + i));
-        }
-    });
+    let mut lists: Vec<Vec<(usize, Distance)>> =
+        g.nodes().map(|v| skeleton.skeletons_near(v)).collect();
     let uncovered: Vec<NodeId> = (0..n).filter(|&v| lists[v].is_empty()).map(NodeId::new).collect();
     let fallbacks = uncovered.len();
     let mut extra_rounds = 0u64;

@@ -98,9 +98,6 @@ pub(crate) fn repair_prepared(
     let n = new_graph.len();
     let touched = batch.touched_nodes();
     let mut net = HybridNet::new(new_graph, cfg.net);
-    if let Some(threads) = cfg.round_threads {
-        net.set_round_threads(threads);
-    }
     let prepared = Prepared::default();
     let mut report = RepairReport {
         epoch: 0,
@@ -250,7 +247,7 @@ fn near_cold(
     tie: NearTie,
     net: &mut HybridNet<'_>,
 ) -> NearData {
-    let data = compute_near(g, net.round_threads(), skeleton, tie);
+    let data = compute_near(g, skeleton, tie);
     if tie == NearTie::HopThenIndex && data.extra_rounds > 0 {
         net.charge_local(data.extra_rounds, "repair:near");
     }

@@ -19,8 +19,9 @@
 //!   is served from the report memo without re-running the protocol at all —
 //!   the steady state of a serving workload where hot queries repeat.
 //! * **Batching.** [`Session::solve_batch`] dedups repeated queries and
-//!   shards the distinct ones over scoped worker threads (the scenario
-//!   runner's pool pattern); answers are deterministic and order-preserving.
+//!   shares the distinct ones among [`hybrid_graph::workers`] scoped threads
+//!   (the scenario runner's pool pattern); answers are deterministic and
+//!   order-preserving.
 //!   Batch answers are shared: a memo hit and every repeat within a batch
 //!   hand out the memo's own `Arc<Report>`, so a repeat costs a reference
 //!   count, not a copy of its distance matrix.
@@ -95,9 +96,6 @@ pub struct SessionConfig {
     /// Optional fault plan installed on every query's net. Non-trivial plans
     /// disable all caching (see the module docs).
     pub faults: Option<FaultPlan>,
-    /// Round-engine worker budget override applied to every query's net
-    /// (`None`: the `HYBRID_ROUND_THREADS` / hardware default).
-    pub round_threads: Option<usize>,
     /// Damage threshold of [`Session::apply_delta`]: the dirtied-node
     /// fraction above which incremental repair falls back to a full
     /// re-prepare. Interpreted as a fraction of `n`; values below `0.0`
@@ -116,7 +114,6 @@ impl SessionConfig {
             xi: 1.5,
             net: HybridConfig::default(),
             faults: None,
-            round_threads: None,
             damage_threshold: 0.25,
         }
     }
@@ -342,13 +339,9 @@ impl Session {
     }
 
     /// A fresh simulated net for one query, configured exactly as a cold
-    /// caller would: the session's [`HybridConfig`], fault plan, and
-    /// round-engine budget.
+    /// caller would: the session's [`HybridConfig`] and fault plan.
     fn fresh_net(&self) -> HybridNet<'_> {
         let mut net = HybridNet::new(&self.graph, self.cfg.net);
-        if let Some(threads) = self.cfg.round_threads {
-            net.set_round_threads(threads);
-        }
         if let Some(plan) = &self.cfg.faults {
             net.inject_faults(plan).expect("fault plan validated at session construction");
         }
@@ -432,8 +425,8 @@ impl Session {
 
     /// Serves a batch of independent queries, returning one result per input
     /// in order. Repeated queries are deduplicated (solved once, the answer
-    /// shared) and the distinct ones are sharded over scoped worker threads,
-    /// one per available core at most. Every answer is bit-identical to
+    /// shared) and the distinct ones are shared among scoped worker threads,
+    /// [`hybrid_graph::workers`] of them. Every answer is bit-identical to
     /// solving the batch sequentially. Reports are shared, never copied: a
     /// memo hit returns the memo's own [`Arc<Report>`], and the repeats of
     /// one query within the batch all return that same allocation. On a faulty session dedup is disabled
@@ -464,7 +457,7 @@ impl Session {
         self.queries.fetch_add(repeats, Ordering::Relaxed);
         self.report_hits.fetch_add(repeats, Ordering::Relaxed);
         type Served = Result<Arc<Report>, HybridError>;
-        let threads = batch_workers(unique.len());
+        let threads = hybrid_graph::workers(unique.len());
         let results: Vec<Served> = if threads <= 1 {
             unique.iter().map(|&i| self.serve(&queries[i], None)).collect()
         } else {
@@ -499,18 +492,6 @@ impl Session {
 struct Observed {
     metrics: Metrics,
     trace: Option<Recorder>,
-}
-
-/// Batch worker count: the machine's parallelism, capped at the number of
-/// distinct queries. A batch of at most one distinct query runs on the
-/// caller and skips the lookup: the `available_parallelism` probe reads the
-/// affinity mask and cgroup quota files, which costs more than the memo hit
-/// it would schedule.
-fn batch_workers(jobs: usize) -> usize {
-    if jobs <= 1 {
-        return 1;
-    }
-    std::thread::available_parallelism().map_or(1, |p| p.get()).min(jobs)
 }
 
 #[cfg(test)]

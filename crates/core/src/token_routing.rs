@@ -229,7 +229,7 @@ impl RoutingSession {
     /// * [`HybridError::MissingTokens`] if delivery is incomplete
     ///   (protocol-bug guard).
     /// * Simulator errors (congestion under the strict policy).
-    pub fn route<T: Clone + Send + Sync + 'static>(
+    pub fn route<T: Clone + Send + 'static>(
         &self,
         net: &mut HybridNet<'_>,
         mut tokens: Vec<Token<T>>,
@@ -407,7 +407,7 @@ impl RoutingSession {
 /// * [`HybridError::MissingTokens`] if delivery is incomplete (protocol-bug
 ///   guard).
 /// * Simulator errors (congestion under the strict policy).
-pub fn route_tokens<T: Clone + Send + Sync + 'static>(
+pub fn route_tokens<T: Clone + Send + 'static>(
     net: &mut HybridNet<'_>,
     tokens: Vec<Token<T>>,
     senders: &[NodeId],

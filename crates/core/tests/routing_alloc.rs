@@ -5,8 +5,8 @@
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` on the
 //! measuring thread only (the harness's other threads never leak into a
-//! window). The net runs the sequential round engine (`round_threads = 1`),
-//! so every allocation of the measured calls happens on that thread.
+//! window). The round engine runs every exchange on the calling thread, so
+//! every allocation of the measured calls happens on that thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,7 +78,6 @@ const MAX_ALLOCATIONS: u64 = 256;
 fn measure(n: usize) -> (u64, u64) {
     let g = cycle(n, 3).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
-    net.set_round_threads(1);
     let members: Vec<NodeId> = (0..n).step_by(23).map(NodeId::new).collect();
     let k = members.len();
     let p = k as f64 / n as f64;

@@ -20,10 +20,9 @@
 //! * [`par_map_rows`] / [`par_dist_rows`] / [`par_lex_rows_with`] — a
 //!   multi-source driver that partitions the sources across OS threads
 //!   (`std::thread::scope`; one workspace per worker) and writes rows straight
-//!   into caller-provided flat buffers. Thread count follows
-//!   `std::thread::available_parallelism`, overridable with the
-//!   `HYBRID_DIJKSTRA_THREADS` environment variable. Outputs are exact
-//!   distances, so results are bit-identical regardless of parallelism.
+//!   into caller-provided flat buffers. The thread count is
+//!   [`crate::workers`]. Outputs are exact distances, so results are
+//!   bit-identical regardless of parallelism.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -448,17 +447,6 @@ pub fn dijkstra_lex(g: &Graph, source: NodeId) -> (Vec<Distance>, Vec<Distance>)
     (dist, hops)
 }
 
-/// Number of Dijkstra workers for a `k`-source batch: the smaller of the
-/// available cores (or the `HYBRID_DIJKSTRA_THREADS` override) and `k`.
-fn worker_count(k: usize) -> usize {
-    let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-    let configured = std::env::var("HYBRID_DIJKSTRA_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t > 0);
-    configured.unwrap_or(hw).min(k).max(1)
-}
-
 /// Runs one lexicographic Dijkstra per source — in parallel across OS threads,
 /// one reusable [`DijkstraWorkspace`] per worker — and maps each `(dist, hops)`
 /// row pair through `f`, returning the results in source order.
@@ -477,7 +465,7 @@ where
     if k == 0 {
         return Vec::new();
     }
-    let threads = worker_count(k);
+    let threads = crate::workers(k);
     if threads <= 1 {
         let mut ws = DijkstraWorkspace::new();
         let mut dist = vec![INFINITY; n];
@@ -533,7 +521,7 @@ where
     if k == 0 {
         return;
     }
-    let threads = worker_count(k);
+    let threads = crate::workers(k);
     if threads <= 1 {
         let mut ws = DijkstraWorkspace::new();
         let mut dist = vec![INFINITY; n];
@@ -573,7 +561,7 @@ pub fn par_dist_rows(g: &Graph, sources: &[NodeId], out: &mut [Distance]) {
     if k == 0 {
         return;
     }
-    let threads = worker_count(k);
+    let threads = crate::workers(k);
     if threads <= 1 {
         let mut ws = DijkstraWorkspace::new();
         for (&s, row) in sources.iter().zip(out.chunks_mut(n)) {
@@ -606,7 +594,7 @@ where
     if k == 0 {
         return Vec::new();
     }
-    let threads = worker_count(k);
+    let threads = crate::workers(k);
     if threads <= 1 {
         let mut ws = DijkstraWorkspace::new();
         let mut dist = vec![INFINITY; n];

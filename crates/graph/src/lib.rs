@@ -19,6 +19,7 @@
 //! * [`lower_bounds`] — the two worst-case constructions of the paper:
 //!   the k-SSP path construction (Figure 1) and the set-disjointness diameter
 //!   construction `Γ^{a,b}_{k,ℓ,W}` (Figure 2).
+//! * [`workers`] — the one thread budget of the workspace's parallel drivers.
 //!
 //! # Example
 //!
@@ -59,3 +60,28 @@ pub use delta::{DeltaBatch, DeltaError, GraphDelta};
 pub use dist::{dist_add, Distance, INFINITY};
 pub use graph::{Graph, GraphBuilder, GraphError};
 pub use ids::NodeId;
+
+/// Worker threads for `jobs` independent jobs: the host's available
+/// parallelism, capped by `jobs`, and at least 1. It sizes every parallel
+/// driver in the workspace — the Dijkstra rows, the min-plus kernel, session
+/// batches and the scenario runner — and no variable overrides it; results
+/// never depend on it.
+///
+/// The host's parallelism is read once per process: each
+/// `available_parallelism` call reads the affinity mask and cgroup quota
+/// files (12–17 µs on a 2-vCPU VM), which would otherwise be paid per
+/// kernel call. A process that restricts its CPU affinity must do so before
+/// the first call.
+///
+/// ```
+/// use hybrid_graph::workers;
+///
+/// assert_eq!(workers(0), 1); // an empty batch still runs on its caller
+/// assert_eq!(workers(1), 1);
+/// assert!((1..=4).contains(&workers(4)));
+/// ```
+pub fn workers(jobs: usize) -> usize {
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let host = *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    host.min(jobs).max(1)
+}

@@ -12,7 +12,7 @@
 //! over the `(min, +)` semiring with [`INFINITY`] absorbing. This module is
 //! that operation, implemented once: a cache-tiled, branch-free inner loop
 //! ([`min_plus_into`]) and a thread-parallel row driver
-//! ([`par_min_plus_into`], worker count = `available_parallelism`). Results
+//! ([`par_min_plus_into`], worker count = [`crate::workers`]). Results
 //! are exact minima, so they are bit-identical regardless of tiling or thread
 //! count.
 
@@ -66,12 +66,6 @@ pub fn min_plus_into(
     }
 }
 
-/// Worker count for the parallel drivers: the smaller of the available cores
-/// and the row count.
-fn worker_count(rows: usize) -> usize {
-    std::thread::available_parallelism().map_or(1, |v| v.get()).min(rows).max(1)
-}
-
 /// Output rows below which [`par_min_plus_into`] stays sequential (thread
 /// spawn costs more than the product).
 const PAR_MIN_ROWS: usize = 16;
@@ -87,7 +81,7 @@ pub fn par_min_plus_into(
     rows: usize,
     cols: usize,
 ) {
-    let threads = worker_count(rows);
+    let threads = crate::workers(rows);
     if threads <= 1 || rows < PAR_MIN_ROWS {
         min_plus_into(a, b, out, rows, cols);
         return;
@@ -116,7 +110,7 @@ where
     if cols == 0 {
         return (0..rows).map(|i| f(i, &[])).collect();
     }
-    let threads = worker_count(rows);
+    let threads = crate::workers(rows);
     if threads <= 1 || rows < PAR_MIN_ROWS {
         return m.chunks_exact(cols).enumerate().map(|(i, row)| f(i, row)).collect();
     }

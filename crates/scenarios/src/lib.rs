@@ -40,7 +40,6 @@ pub use hybrid_core::solver::{DiameterCorollary, KsspCorollary, Query, QueryErro
 pub use model::{AlgorithmSuite, ChurnPlan, FaultPlan, GraphFamily, Scenario, WeightModel};
 pub use registry::{all_tags, by_tag, find, registry};
 pub use runner::{
-    run_scenario, run_scenario_traced, run_scenario_with, run_scenarios, run_scenarios_with,
-    Engine, ScenarioReport,
+    run_scenario, run_scenario_traced, run_scenario_with, run_scenarios, Engine, ScenarioReport,
 };
 pub use verify::{check_report, Contract, Verdict, Verification};

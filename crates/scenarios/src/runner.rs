@@ -121,7 +121,6 @@ fn run_suite_session(sc: &Scenario, g: &Graph) -> (u64, Verification, u64, u64, 
         xi: sc.suite.xi(),
         net: sc.faults.config(),
         faults: sc.faults.sim_plan(g.len(), sc.seed),
-        round_threads: None,
         ..SessionConfig::new(sc.seed)
     };
     let session = Session::new(g, cfg).expect("registry scenario configs are valid");
@@ -163,7 +162,6 @@ fn run_churn_session(
         xi: sc.suite.xi(),
         net: sc.faults.config(),
         faults: sc.faults.sim_plan(g0.len(), sc.seed),
-        round_threads: None,
         ..SessionConfig::new(sc.seed)
     };
     let query = sc.suite.query();
@@ -350,31 +348,17 @@ fn run_scenario_inner(
     (report, rec)
 }
 
-/// Worker-thread count: the machine's parallelism, capped at the batch size.
-fn worker_count(jobs: usize) -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get()).min(jobs)
-}
-
-/// Runs every scenario in `batch` at size ≈ `n` on scoped worker threads and
-/// returns the reports in input order (the [`Engine::Fresh`] path).
+/// Runs every scenario in `batch` at size ≈ `n` (the [`Engine::Fresh`]
+/// path) on [`hybrid_graph::workers`] scoped threads and returns the reports
+/// in input order. Independent scenarios never share state, so the output is
+/// identical to running them sequentially.
 pub fn run_scenarios(batch: &[&Scenario], n: usize) -> Vec<ScenarioReport> {
-    run_scenarios_with(batch, n, Engine::Fresh)
-}
-
-/// Runs every scenario in `batch` at size ≈ `n` under the chosen engine on
-/// scoped worker threads and returns the reports in input order. Independent
-/// scenarios never share state, so the output is identical to running them
-/// sequentially.
-pub fn run_scenarios_with(batch: &[&Scenario], n: usize, engine: Engine) -> Vec<ScenarioReport> {
     let jobs = batch.len();
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let threads = worker_count(jobs);
-    let reports: Vec<Mutex<Option<ScenarioReport>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let threads = hybrid_graph::workers(jobs);
     if threads <= 1 {
-        return batch.iter().map(|sc| run_scenario_with(sc, n, engine)).collect();
+        return batch.iter().map(|sc| run_scenario(sc, n)).collect();
     }
+    let reports: Vec<Mutex<Option<ScenarioReport>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -383,7 +367,7 @@ pub fn run_scenarios_with(batch: &[&Scenario], n: usize, engine: Engine) -> Vec<
                 if i >= jobs {
                     break;
                 }
-                let report = run_scenario_with(batch[i], n, engine);
+                let report = run_scenario(batch[i], n);
                 *reports[i].lock().expect("no poisoned slots") = Some(report);
             });
         }

@@ -1,24 +1,21 @@
 //! Trace determinism: the structured event stream is part of the repo's
-//! bit-identical contract. Two traced runs of the same scenario — and runs
-//! under different round-engine thread budgets — must produce identical
-//! event sequences modulo wall-clock stamps, and the chaos family's
-//! retransmission events must account exactly for the metrics counter.
+//! bit-identical contract. Two traced runs of the same scenario must
+//! produce identical event sequences modulo wall-clock stamps, and the
+//! chaos family's retransmission events must account exactly for the
+//! metrics counter.
 
 use hybrid_core::solver::solve;
 use hybrid_scenarios::model::Scenario;
-use hybrid_scenarios::{by_tag, find, registry};
+use hybrid_scenarios::{by_tag, registry};
 use hybrid_sim::{Metrics, Recorder, TraceEvent};
 use proptest::prelude::*;
 
-/// One traced run of a scenario's suite at size ≈ `n`, optionally pinning
-/// the round-engine worker budget. Returns the wall-stripped event stream
-/// and the run's metrics; reconciliation is asserted on every run.
-fn traced_run(sc: &Scenario, n: usize, threads: Option<usize>) -> (Vec<TraceEvent>, Metrics) {
+/// One traced run of a scenario's suite at size ≈ `n`. Returns the
+/// wall-stripped event stream and the run's metrics; reconciliation is
+/// asserted on every run.
+fn traced_run(sc: &Scenario, n: usize) -> (Vec<TraceEvent>, Metrics) {
     let g = sc.graph(n);
     let mut net = sc.net(&g);
-    if let Some(t) = threads {
-        net.set_round_threads(t);
-    }
     net.set_trace(Recorder::new());
     let _ = solve(&mut net, &sc.suite.query(), sc.seed);
     let rec = net.take_trace().expect("recorder installed");
@@ -36,8 +33,8 @@ proptest! {
     #[test]
     fn traced_runs_are_reproducible(idx in 0usize..registry().len(), n in 36usize..52) {
         let sc = &registry()[idx];
-        let (a, ma) = traced_run(sc, n, None);
-        let (b, mb) = traced_run(sc, n, None);
+        let (a, ma) = traced_run(sc, n);
+        let (b, mb) = traced_run(sc, n);
         prop_assert_eq!(&a, &b, "{} event streams diverged at n={}", sc.name, n);
         prop_assert_eq!(ma.rounds, mb.rounds);
         prop_assert_eq!(ma.global_messages, mb.global_messages);
@@ -45,25 +42,10 @@ proptest! {
 }
 
 #[test]
-fn thread_budget_never_changes_the_event_stream() {
-    // One healthy and one chaos scenario, serial vs sharded round engine:
-    // the sharded scatter must reproduce the serial stream exactly.
-    for name in ["e2-er", "chaos-drop-p20-sssp"] {
-        let sc = find(name).expect("registered scenario");
-        let (serial, m1) = traced_run(sc, 48, Some(1));
-        let (sharded, m4) = traced_run(sc, 48, Some(4));
-        assert_eq!(serial, sharded, "{name}: 1-thread vs 4-thread events diverged");
-        assert_eq!(m1.rounds, m4.rounds, "{name}: round bill diverged");
-        assert_eq!(m1.max_recv_load, m4.max_recv_load, "{name}: recv loads diverged");
-        assert!(!serial.is_empty());
-    }
-}
-
-#[test]
 fn chaos_wave_events_account_for_every_retransmission() {
     let mut any_retransmitted = false;
     for sc in by_tag("chaos") {
-        let (events, metrics) = traced_run(sc, 48, None);
+        let (events, metrics) = traced_run(sc, 48);
         let traced: u64 = events
             .iter()
             .map(|e| match e {

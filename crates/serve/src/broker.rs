@@ -423,8 +423,6 @@ pub struct BrokerConfig {
     pub seed: u64,
     /// Simulated network configuration for every session.
     pub net: HybridConfig,
-    /// Round-engine worker budget applied to every session's nets.
-    pub round_threads: Option<usize>,
     /// Byte budget of the session LRU, charged at
     /// `SessionStats::prepared_bytes` (floored at 1 KiB per session). When
     /// the resident total exceeds it, least-recently-used sessions are
@@ -444,7 +442,6 @@ impl BrokerConfig {
         BrokerConfig {
             seed,
             net: HybridConfig::default(),
-            round_threads: None,
             session_budget_bytes: 256 << 20,
             verify: true,
         }
@@ -1113,7 +1110,6 @@ impl<'g> Broker<'g> {
             xi: f64::from_bits(key.xi_bits),
             net: self.cfg.net,
             faults: faults.clone(),
-            round_threads: self.cfg.round_threads,
             ..SessionConfig::new(key.seed)
         };
         let session = Session::shared(graph, scfg)?;
@@ -1230,9 +1226,6 @@ impl<'g> Broker<'g> {
         let mut slot = cell.lock().expect("cold referee cell lock");
         if slot.expected.is_none() {
             let mut net = HybridNet::new(entry.session.graph(), self.cfg.net);
-            if let Some(threads) = self.cfg.round_threads {
-                net.set_round_threads(threads);
-            }
             if let Some(plan) = &entry.faults {
                 net.inject_faults(plan).expect("fault plan validated at registration");
             }

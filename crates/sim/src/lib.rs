@@ -26,6 +26,11 @@
 //! so every protocol built on the simulator can be exercised under faults
 //! without touching its code.
 //!
+//! A round — every node's step and the exchange between them — is replayed
+//! on the calling thread, so the simulation has no thread budget; the
+//! multi-threaded work is the graph kernels', sized by
+//! [`hybrid_graph::workers`].
+//!
 //! # Example
 //!
 //! ```
@@ -58,7 +63,6 @@ pub mod config;
 pub mod fault;
 pub mod metrics;
 pub mod net;
-pub mod par;
 pub mod rng;
 pub mod trace;
 

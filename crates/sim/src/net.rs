@@ -16,6 +16,9 @@
 //! caller-reused, destination-sparse [`FlatInboxes`] arena. The nested-`Vec`
 //! [`HybridNet::exchange`] remains as a convenience wrapper with identical
 //! observable behavior.
+//!
+//! Every exchange runs on the calling thread: the simulated bill, not the
+//! number of OS threads replaying a round, is the reproduction's result.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -27,7 +30,6 @@ use crate::channel::{Envelope, FlatInboxes, Inboxes, SendQueues};
 use crate::config::{HybridConfig, OverflowPolicy};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::Metrics;
-use crate::par;
 use crate::trace::{Recorder, TraceEvent};
 
 /// Errors of a simulated execution.
@@ -115,8 +117,6 @@ struct ExchangeScratch {
     offs: Vec<u32>,
     /// First-pass permutation (message indices stable-sorted by sender).
     perm1: Vec<u32>,
-    /// Shard cut points (node boundaries) of the thread-sharded scatter.
-    cuts: Vec<u32>,
 }
 
 impl ExchangeScratch {
@@ -130,7 +130,6 @@ impl ExchangeScratch {
             ordered: true,
             offs: vec![0; n],
             perm1: Vec::new(),
-            cuts: Vec::new(),
         }
     }
 
@@ -266,38 +265,21 @@ fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
 
 /// Lays out the counting-sort buckets of the nodes marked in `bits`, in
 /// ascending ID order: node `v`'s bucket starts at `offs[v]` and holds
-/// `counts[v]` of the batch's `m` messages. `cuts` receives `shards + 1`
-/// node boundaries that split the messages into shards of roughly equal size
-/// (a shard owns whole buckets), and `visit(v, first slot, count)` sees each
-/// marked node in order.
+/// `counts[v]` messages, and `visit(v, first slot, count)` sees each marked
+/// node in order.
 fn lay_out_buckets(
     bits: &[u64],
     counts: &[u32],
     offs: &mut [u32],
-    m: usize,
-    shards: usize,
-    cuts: &mut Vec<u32>,
     mut visit: impl FnMut(usize, u32, u32),
 ) {
-    cuts.clear();
-    cuts.push(0);
     let mut at = 0u32;
     for v in ones(bits.iter().copied()) {
-        while cuts.len() < shards && at as usize >= m * cuts.len() / shards {
-            cuts.push(v as u32);
-        }
         offs[v] = at;
         visit(v, at, counts[v]);
         at += counts[v];
     }
-    cuts.resize(shards + 1, offs.len() as u32);
 }
-
-/// Messages a scatter shard must own before the thread-sharded exchange path
-/// engages; below `2 ×` this the per-exchange `std::thread::scope` overhead
-/// outweighs the scatter work and the engine stays on the (allocation-free)
-/// sequential path.
-const PAR_MIN_SHARD_MESSAGES: usize = 512;
 
 /// Transmission attempts the reliable layer makes to an unacknowledged
 /// destination before its failure detector declares the node dead. The bound
@@ -327,50 +309,6 @@ struct ReliableScratch {
     /// Per-message delivery flags.
     delivered: Vec<bool>,
 }
-
-/// Shared mutable base pointer for provably disjoint shard writes. Every
-/// unsafe use below is justified by a partition argument: shard `t` only
-/// touches indices derived from node buckets in its own cut range, and the
-/// cut ranges partition `0..n`.
-struct ShardPtr<T>(*mut T);
-
-impl<T> Clone for ShardPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for ShardPtr<T> {}
-impl<T> ShardPtr<T> {
-    /// Pointer to slot `i`. Taking `self` by value makes closures capture the
-    /// whole (Send + Sync) wrapper rather than the raw pointer field.
-    unsafe fn at(self, i: usize) -> *mut T {
-        unsafe { self.0.add(i) }
-    }
-}
-// SAFETY: the pointer is only dereferenced at indices owned by exactly one
-// shard (see the partition arguments at each use site).
-unsafe impl<T: Send> Send for ShardPtr<T> {}
-unsafe impl<T: Send> Sync for ShardPtr<T> {}
-
-/// Shared read-only base pointer from which each message index is *moved out*
-/// exactly once across all shards.
-struct TakePtr<T>(*const T);
-
-impl<T> Clone for TakePtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for TakePtr<T> {}
-impl<T> TakePtr<T> {
-    /// Pointer to slot `i` (see [`ShardPtr::at`]).
-    unsafe fn at(self, i: usize) -> *const T {
-        unsafe { self.0.add(i) }
-    }
-}
-// SAFETY: see [`ShardPtr`]; additionally each slot is `ptr::read` at most once.
-unsafe impl<T: Send> Send for TakePtr<T> {}
-unsafe impl<T: Send> Sync for TakePtr<T> {}
 
 /// Per-call pacing scratch of [`HybridNet::drain_queues`] — the reusable
 /// outbox and inbox arena of the drain loop. Pooled per payload type on the
@@ -423,9 +361,6 @@ pub struct HybridNet<'g> {
     cut: Option<Vec<bool>>,
     scratch: ExchangeScratch,
     faults: Option<FaultState>,
-    /// Worker budget of the thread-sharded exchange path (read from
-    /// `HYBRID_ROUND_THREADS` at construction; `1` = sequential engine).
-    round_threads: usize,
     /// Pooled [`HybridNet::drain_queues`] scratch buffers, per payload type.
     drain_pool: DrainPool,
     /// Routes exchanges through the ack/retransmission layer when a
@@ -466,7 +401,6 @@ impl<'g> HybridNet<'g> {
             cut: None,
             scratch: ExchangeScratch::for_n(graph.len()),
             faults: None,
-            round_threads: par::round_threads(),
             drain_pool: DrainPool::default(),
             reliable: false,
             rel: ReliableScratch::default(),
@@ -474,19 +408,11 @@ impl<'g> HybridNet<'g> {
         })
     }
 
-    /// Worker budget of the thread-sharded exchange engine (see
-    /// [`HybridNet::set_round_threads`]).
+    /// OS threads that replay one simulated round: always 1. Every round
+    /// runs on the calling thread; parallelism lives in the graph kernels
+    /// (see `hybrid_graph::workers`).
     pub fn round_threads(&self) -> usize {
-        self.round_threads
-    }
-
-    /// Overrides the round-engine worker budget for this net (the
-    /// `HYBRID_ROUND_THREADS` environment variable sets the initial value at
-    /// construction). `1` forces the sequential, allocation-free engine;
-    /// larger budgets let big exchanges shard their counting-sort scatter
-    /// across OS threads. Results are bit-identical either way.
-    pub fn set_round_threads(&mut self, threads: usize) {
-        self.round_threads = threads.max(1);
+        1
     }
 
     /// Installs a [`FaultPlan`]: from now on every global exchange drops
@@ -526,10 +452,10 @@ impl<'g> HybridNet<'g> {
     /// declared dead after `RELIABLE_MAX_ATTEMPTS` (8) attempts. Every wave is
     /// billed honestly — the wire rounds, one ack round, and the backoff
     /// rounds all advance the clock (recovery is charged, never discounted) —
-    /// and all retry decisions are made sequentially from the plan's
-    /// deterministic streams, so runs stay bit-identical across thread
-    /// budgets. Without faults (or with a trivial plan) the flag is inert and
-    /// exchanges behave exactly as before.
+    /// and all retry decisions are made in sequence order from the plan's
+    /// deterministic streams, so repeated runs are bit-identical. Without
+    /// faults (or with a trivial plan) the flag is inert and exchanges
+    /// behave exactly as before.
     pub fn set_reliable(&mut self, on: bool) {
         self.reliable = on;
     }
@@ -719,7 +645,7 @@ impl<'g> HybridNet<'g> {
     ///
     /// [`SimError::AddressOutOfRange`] for a bad endpoint; cap violations under
     /// [`OverflowPolicy::Fail`].
-    pub fn exchange_into<M: Send + Sync>(
+    pub fn exchange_into<M>(
         &mut self,
         phase: &str,
         outbox: &mut Vec<Envelope<M>>,
@@ -821,7 +747,7 @@ impl<'g> HybridNet<'g> {
     /// schedules keep firing during recovery. The surviving messages are
     /// finally handed to the shared stable scatter in sequence order, so
     /// per-`(src, dst)` delivery order matches the sequence numbers exactly.
-    fn exchange_reliable<M: Send + Sync>(
+    fn exchange_reliable<M>(
         &mut self,
         phase: &str,
         outbox: &mut Vec<Envelope<M>>,
@@ -949,8 +875,7 @@ impl<'g> HybridNet<'g> {
             metrics.charge_global_rounds_only(1, phase);
 
             // Delivery decisions, strictly in sequence order: the drop
-            // stream is consumed deterministically, independent of the
-            // thread budget.
+            // stream is consumed deterministically.
             rel.pending.clear();
             let mut lost_now = 0u64;
             let mut dead_suppressed = 0u64;
@@ -1041,11 +966,7 @@ impl<'g> HybridNet<'g> {
     /// `outbox`'s counted loads (addresses validated); charges nothing but
     /// records each destination's receive load, in ascending ID order.
     /// Returns the largest receive load.
-    fn scatter_into<M: Send + Sync>(
-        &mut self,
-        outbox: &mut Vec<Envelope<M>>,
-        out: &mut FlatInboxes<M>,
-    ) -> u64 {
+    fn scatter_into<M>(&mut self, outbox: &mut Vec<Envelope<M>>, out: &mut FlatInboxes<M>) -> u64 {
         let n = self.graph.len();
         let m = outbox.len();
         // Deliver: stable two-pass counting sort by (dst, src, insertion order)
@@ -1055,76 +976,32 @@ impl<'g> HybridNet<'g> {
         // Both passes lay out their buckets by walking only the touched
         // nodes. A batch already in `(dst, src)` order is its own sort and
         // moves in one pass.
-        //
-        // For large batches (≥ 2 shards of [`PAR_MIN_SHARD_MESSAGES`]) with a
-        // round-thread budget > 1, both scatters are partitioned into node
-        // shards (pass 1 by sender, pass 2 by receiver) balanced by message
-        // count and run under `std::thread::scope`. Each node bucket is
-        // written by exactly one shard in the same scan order the sequential
-        // loop uses, so the delivered arena is bit-identical. Every shard
-        // scans the whole batch and filters to its own buckets — O(m) cheap
-        // sequential reads per shard buys zero cross-shard coordination; at
-        // the exchange sizes this simulator sees (m ≤ tens of thousands,
-        // shards ≤ cores) the redundant reads are noise next to the
-        // parallelized payload moves. An oversubscribed budget (more threads
-        // than cores, e.g. the determinism suite on a 1-core box) does
-        // strictly redundant work, which is the explicit point there.
-        let ExchangeScratch { sent, recv, senders, receivers, ordered, offs, perm1, cuts, .. } =
+        let ExchangeScratch { sent, recv, senders, receivers, ordered, offs, perm1 } =
             &mut self.scratch;
-        let shards = if *ordered || self.round_threads <= 1 {
-            1
-        } else {
-            self.round_threads.min(m / PAR_MIN_SHARD_MESSAGES).max(1)
-        };
 
         // Pass 1: message indices, stable-ordered by sender.
         if !*ordered {
-            lay_out_buckets(senders, sent, offs, m, shards, cuts, |_, _, _| {});
+            lay_out_buckets(senders, sent, offs, |_, _, _| {});
             perm1.clear();
             perm1.resize(m, 0);
-            if shards <= 1 {
-                for (i, e) in outbox.iter().enumerate() {
-                    let s = e.src.index();
-                    perm1[offs[s] as usize] = i as u32;
-                    offs[s] += 1;
-                }
-            } else {
-                let offs_ptr = ShardPtr(offs.as_mut_ptr());
-                let perm_ptr = ShardPtr(perm1.as_mut_ptr());
-                let outbox_ref: &[Envelope<M>] = outbox;
-                std::thread::scope(|scope| {
-                    for w in cuts.windows(2) {
-                        let (lo, hi) = (w[0] as usize, w[1] as usize);
-                        scope.spawn(move || {
-                            for (i, e) in outbox_ref.iter().enumerate() {
-                                let s = e.src.index();
-                                if s >= lo && s < hi {
-                                    // SAFETY: sender buckets `lo..hi` (cursor
-                                    // cells and the perm1 region they index) are
-                                    // owned by this shard alone.
-                                    unsafe {
-                                        let cursor = offs_ptr.at(s);
-                                        *perm_ptr.at(*cursor as usize) = i as u32;
-                                        *cursor += 1;
-                                    }
-                                }
-                            }
-                        });
-                    }
-                });
+            for (i, e) in outbox.iter().enumerate() {
+                let s = e.src.index();
+                perm1[offs[s] as usize] = i as u32;
+                offs[s] += 1;
             }
         }
 
         // Destination buckets, the sparse inbox index and the receive loads,
         // in ascending destination order.
         let (msgs, dsts, starts) = out.parts_mut(n);
+        debug_assert!(msgs.is_empty(), "callers clear the arena first");
         let touched = receivers.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         dsts.reserve(touched);
         starts.reserve(touched + 1);
         msgs.reserve(m);
         let mut max_recv_load = 0u64;
         let metrics = &mut self.metrics;
-        lay_out_buckets(receivers, recv, offs, m, shards, cuts, |v, at, load| {
+        lay_out_buckets(receivers, recv, offs, |v, at, load| {
             metrics.record_recv_load(load as usize);
             max_recv_load = max_recv_load.max(u64::from(load));
             dsts.push(v as u32);
@@ -1137,49 +1014,24 @@ impl<'g> HybridNet<'g> {
         }
 
         // Pass 2: group by destination and move payloads into the arena.
-        // SAFETY (both branches): `perm1` is a permutation of `0..m` and each
-        // destination bucket is drained by exactly one scan, so every element
-        // is read exactly once and every output slot in `0..m` is written
-        // exactly once. `outbox`'s length is zeroed before any move and
-        // `msgs`'s length is only set after all writes, so a panic leaks
-        // elements instead of double-dropping them.
+        // Kept as raw moves because the safe form (a slot per message, then
+        // in-place swap cycles and one `drain`) timed 17–41% slower on random
+        // batches of 150–6,402 messages at n = 2400 (CHANGES.md).
+        //
+        // SAFETY: `perm1` is a permutation of `0..m`, so every element of
+        // `outbox` is read exactly once; the destination buckets partition
+        // `0..m` (their counts sum to `m`), so every slot of `msgs`, empty
+        // with capacity ≥ `m`, is written exactly once. `outbox`'s length is
+        // zeroed before any move and `msgs`'s length is only set after all
+        // writes, so a panic leaks elements instead of double-dropping them.
         unsafe {
-            let base = TakePtr(outbox.as_ptr());
+            let (src, dst) = (outbox.as_ptr(), msgs.as_mut_ptr());
             outbox.set_len(0);
-            let out_ptr = ShardPtr(msgs.as_mut_ptr());
-            if shards <= 1 {
-                for &i in perm1.iter() {
-                    let e = std::ptr::read(base.0.add(i as usize));
-                    let d = e.dst.index();
-                    std::ptr::write(out_ptr.0.add(offs[d] as usize), (e.src, e.msg));
-                    offs[d] += 1;
-                }
-            } else {
-                let offs_ptr = ShardPtr(offs.as_mut_ptr());
-                let perm1_ref: &[u32] = perm1;
-                std::thread::scope(|scope| {
-                    for w in cuts.windows(2) {
-                        let (lo, hi) = (w[0] as usize, w[1] as usize);
-                        scope.spawn(move || {
-                            for &i in perm1_ref {
-                                // SAFETY: only the shard owning bucket `d`
-                                // moves message `i` (dst buckets partition the
-                                // messages) and writes the slots `offs[d]..` of
-                                // its own buckets; peeking another shard's
-                                // `dst` is a plain concurrent read. (This
-                                // closure is lexically inside the delivery
-                                // `unsafe` block.)
-                                let d = (*base.at(i as usize)).dst.index();
-                                if d >= lo && d < hi {
-                                    let e = std::ptr::read(base.at(i as usize));
-                                    let cursor = offs_ptr.at(d);
-                                    std::ptr::write(out_ptr.at(*cursor as usize), (e.src, e.msg));
-                                    *cursor += 1;
-                                }
-                            }
-                        });
-                    }
-                });
+            for &i in perm1.iter() {
+                let e = std::ptr::read(src.add(i as usize));
+                let d = e.dst.index();
+                std::ptr::write(dst.add(offs[d] as usize), (e.src, e.msg));
+                offs[d] += 1;
             }
             msgs.set_len(m);
         }
@@ -1198,7 +1050,7 @@ impl<'g> HybridNet<'g> {
     ///
     /// [`SimError::AddressOutOfRange`] for a bad destination; cap violations under
     /// [`OverflowPolicy::Fail`].
-    pub fn exchange<M: Send + Sync>(
+    pub fn exchange<M>(
         &mut self,
         phase: &str,
         outbox: Vec<Envelope<M>>,
@@ -1234,7 +1086,7 @@ impl<'g> HybridNet<'g> {
     /// # Errors
     ///
     /// Propagates [`SimError`] from the underlying exchanges.
-    pub fn drain_queues<M: Send + Sync + 'static>(
+    pub fn drain_queues<M: Send + 'static>(
         &mut self,
         phase: &str,
         queues: Vec<Vec<Envelope<M>>>,
@@ -1260,7 +1112,7 @@ impl<'g> HybridNet<'g> {
     /// # Errors
     ///
     /// Propagates [`SimError`] from the underlying exchanges.
-    pub fn drain_queues_into<M: Send + Sync + 'static>(
+    pub fn drain_queues_into<M: Send + 'static>(
         &mut self,
         phase: &str,
         queues: &mut SendQueues<M>,
@@ -1276,7 +1128,7 @@ impl<'g> HybridNet<'g> {
         result
     }
 
-    fn drain_paced<M: Send + Sync>(
+    fn drain_paced<M>(
         &mut self,
         phase: &str,
         queues: &mut SendQueues<M>,
@@ -1811,58 +1663,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_exchange_is_bit_identical_to_sequential() {
-        // A batch large enough to engage the thread-sharded scatter (≥ 2
-        // shards of PAR_MIN_SHARD_MESSAGES) with a skewed destination mix:
-        // the parallel engine must reproduce the sequential arena byte for
-        // byte — same grouping, same (sender, insertion order) tie-breaks —
-        // and the same metrics, including the receive-load histogram merged
-        // from per-shard metrics.
-        let g = path(64, 1).unwrap();
-        let mk_outbox = || -> Vec<Envelope<(u32, u32)>> {
-            (0..4096u32)
-                .map(|i| {
-                    let s = (i.wrapping_mul(13) % 64) as usize;
-                    // Mix of broad traffic and a hot receiver (node 7).
-                    let d = if i % 5 == 0 { 7 } else { (i.wrapping_mul(29) % 64) as usize };
-                    Envelope::new(NodeId::new(s), NodeId::new(d), (i, i % 7))
-                })
-                .collect()
-        };
-        let run = |threads: usize| {
-            let mut net = net(&g);
-            net.set_round_threads(threads);
-            let mut outbox = mk_outbox();
-            let mut flat = FlatInboxes::new();
-            net.exchange_into("t", &mut outbox, &mut flat).unwrap();
-            (listed(&flat), net.rounds(), net.metrics().clone())
-        };
-        let (seq_inboxes, seq_rounds, seq_metrics) = run(1);
-        for threads in [2, 4, 7] {
-            let (par_inboxes, par_rounds, par_metrics) = run(threads);
-            assert_eq!(par_inboxes, seq_inboxes, "threads = {threads}");
-            assert_eq!(par_rounds, seq_rounds, "threads = {threads}");
-            assert_eq!(par_metrics.recv_load_hist, seq_metrics.recv_load_hist);
-            assert_eq!(par_metrics.max_recv_load, seq_metrics.max_recv_load);
-            assert_eq!(par_metrics.max_send_load, seq_metrics.max_send_load);
-            assert_eq!(par_metrics.global_messages, seq_metrics.global_messages);
-        }
-    }
-
-    #[test]
-    fn small_batches_stay_on_the_sequential_engine() {
-        // Below the shard threshold the parallel budget must not change
-        // behavior (and keeps the zero-allocation contract).
-        let g = path(8, 1).unwrap();
-        let mut net = net(&g);
-        net.set_round_threads(8);
-        assert_eq!(net.round_threads(), 8);
-        let inboxes =
-            net.exchange("t", vec![Envelope::new(NodeId::new(0), NodeId::new(3), 1u8)]).unwrap();
-        assert_eq!(inboxes[3], vec![(NodeId::new(0), 1)]);
-    }
-
-    #[test]
     fn drain_queues_scratch_pool_reuses_buffers_across_calls() {
         // Two drains with the same payload type: the second must find the
         // pooled pacing scratch (observable as retained capacity — the pool
@@ -2172,44 +1972,67 @@ mod tests {
     }
 
     #[test]
-    fn reliable_exchange_is_bit_identical_across_thread_budgets() {
+    fn payloads_that_own_memory_move_exactly_once() {
+        // Every other test sends `Copy` payloads, which a double move or a
+        // lost move would not show. Here each payload is an `Arc` whose
+        // strong count is 2 while it is in flight or delivered (the test
+        // keeps one handle) and 1 once it is dropped, so a payload moved
+        // twice or dropped in transit shows in the counts. The batches go
+        // through the counting sort, the one-pass move of an ordered batch
+        // and the reliable layer's retries, drops and a crashed node.
         use crate::fault::{Crash, FaultPlan};
+        use std::sync::Arc;
         let g = path(64, 1).unwrap();
-        let run = |threads: usize| {
-            let mut net = net(&g);
-            net.set_round_threads(threads);
-            net.inject_faults(&FaultPlan {
-                drop_prob: 0.3,
-                corrupt_prob: 0.0,
-                crashes: vec![Crash { node: NodeId::new(7), at_round: 2 }],
-                seed: 5,
-            })
-            .unwrap();
-            net.set_reliable(true);
-            let mut outbox: Vec<Envelope<u32>> = (0..2048u32)
-                .map(|i| {
-                    Envelope::new(
-                        NodeId::new((i.wrapping_mul(13) % 64) as usize),
-                        NodeId::new((i.wrapping_mul(29) % 64) as usize),
-                        i,
-                    )
+        let handles: Vec<Arc<u32>> = (0..2048u32).map(Arc::new).collect();
+        let batch = |ordered: bool| {
+            let mut outbox: Vec<Envelope<Arc<u32>>> = handles
+                .iter()
+                .map(|p| {
+                    let i = **p;
+                    let (s, d) =
+                        ((i.wrapping_mul(13) % 64) as usize, (i.wrapping_mul(29) % 64) as usize);
+                    Envelope::new(NodeId::new(s), NodeId::new(d), Arc::clone(p))
                 })
                 .collect();
+            if ordered {
+                outbox.sort_by_key(|e| (e.dst, e.src));
+            }
+            outbox
+        };
+        let cases =
+            [("unordered", false, false), ("ordered", true, false), ("reliable", false, true)];
+        for (name, ordered, reliable) in cases {
+            let mut net = net(&g);
+            if reliable {
+                net.inject_faults(&FaultPlan {
+                    drop_prob: 0.3,
+                    corrupt_prob: 0.0,
+                    crashes: vec![Crash { node: NodeId::new(7), at_round: 2 }],
+                    seed: 5,
+                })
+                .unwrap();
+                net.set_reliable(true);
+            }
+            let mut outbox = batch(ordered);
             let mut flat = FlatInboxes::new();
             net.exchange_into("t", &mut outbox, &mut flat).unwrap();
-            (listed(&flat), net.rounds(), net.metrics().clone())
-        };
-        let (seq_inboxes, seq_rounds, seq_m) = run(1);
-        for threads in [2, 4] {
-            let (par_inboxes, par_rounds, par_m) = run(threads);
-            assert_eq!(par_inboxes, seq_inboxes, "threads = {threads}");
-            assert_eq!(par_rounds, seq_rounds, "threads = {threads}");
-            assert_eq!(par_m.retransmissions, seq_m.retransmissions);
-            assert_eq!(par_m.dropped_by_loss, seq_m.dropped_by_loss);
-            assert_eq!(par_m.recovered_messages, seq_m.recovered_messages);
-            assert_eq!(par_m.declared_dead, seq_m.declared_dead);
+            assert!(outbox.is_empty(), "{name}");
+            let delivered: std::collections::HashSet<u32> =
+                flat.iter().flat_map(|(_, msgs)| msgs.iter().map(|(_, p)| **p)).collect();
+            assert_eq!(delivered.len(), flat.len(), "{name}: a payload delivered twice");
+            if reliable {
+                assert!(net.metrics().recovered_messages > 0, "{name}: no retry recovered");
+                assert!(delivered.len() < handles.len(), "{name}: the crash suppressed nothing");
+            } else {
+                assert_eq!(delivered.len(), handles.len(), "{name}");
+            }
+            for p in &handles {
+                let want = if delivered.contains(p.as_ref()) { 2 } else { 1 };
+                assert_eq!(Arc::strong_count(p), want, "{name}: payload {p}");
+            }
+            drop(flat);
+            assert!(handles.iter().all(|p| Arc::strong_count(p) == 1), "{name}: a payload leaked");
         }
-        assert!(seq_m.recovered_messages > 0, "the instance must exercise recovery");
     }
 
     #[test]

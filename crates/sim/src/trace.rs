@@ -414,7 +414,7 @@ impl Recorder {
     }
 
     /// The events with wall-clock fields zeroed — what the determinism
-    /// tests compare across runs and thread budgets.
+    /// tests compare across runs.
     pub fn events_sans_wall(&self) -> Vec<TraceEvent> {
         self.events.iter().map(TraceEvent::sans_wall).collect()
     }

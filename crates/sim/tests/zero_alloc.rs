@@ -7,9 +7,8 @@
 //!
 //! The tally is per thread and armed only on the thread that measures, so
 //! allocations on the harness's other threads (tests running in parallel)
-//! never leak into a measured window. Every measured exchange stays on the
-//! calling thread: each moves at most a few hundred messages, below the
-//! round engine's sharding floor, so the per-thread tally sees all of its
+//! never leak into a measured window. The round engine runs every exchange
+//! on the calling thread, so the per-thread tally sees all of its
 //! allocations.
 
 // Per-node `for v in 0..n` index loops mirror the message-passing idiom of
@@ -300,7 +299,7 @@ fn exchange_with_tracing_disabled_stays_allocation_free() {
 /// At n = 2400 a round costs time in its messages and allocates nothing
 /// once warm: neither a 16-message exchange, which touches a few nodes out
 /// of 2,400, nor a 6,000-message tree round already in `(dst, src)` order
-/// (the seed broadcast's shape), which moves in one pass and never shards.
+/// (the seed broadcast's shape), which moves in one pass.
 #[test]
 fn sparse_and_ordered_rounds_at_n_2400_are_allocation_free() {
     measure_this_thread();

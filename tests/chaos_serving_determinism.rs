@@ -1,9 +1,7 @@
-//! Recovery determinism through the serving front-end (PR 9 satellite): a
-//! chaos serving run — faulty tenants, degraded answers, overload retries —
-//! executed twice, and under sequential vs sharded round engines
-//! (`round_threads` 1 vs 4, the programmatic face of
-//! `HYBRID_ROUND_THREADS`), must yield **byte-identical** response streams:
-//! every digest, every `degraded=` annotation, and every retry count.
+//! Recovery determinism through the serving front-end: a chaos serving run —
+//! faulty tenants, degraded answers, overload retries — executed twice must
+//! yield **byte-identical** response streams: every digest, every
+//! `degraded=` annotation, and every retry count.
 //!
 //! Latency is the only thing allowed to differ between runs, and none of the
 //! wire responses carry latency, so the full line stream is comparable as-is.
@@ -18,10 +16,8 @@ const SEED: u64 = 23;
 
 /// The chaos tenant mix: healthy, lossy+corrupting, crashing (degraded
 /// answers), and a zero-depth tenant that always overloads (retry fodder).
-fn chaos_broker<'g>(catalog: &'g GraphCatalog, round_threads: usize) -> Broker<'g> {
-    let mut cfg = BrokerConfig::new(SEED);
-    cfg.round_threads = Some(round_threads);
-    let broker = Broker::new(catalog, cfg);
+fn chaos_broker(catalog: &GraphCatalog) -> Broker<'_> {
+    let broker = Broker::new(catalog, BrokerConfig::new(SEED));
     broker.register_tenant("steady", TenantConfig::new(4)).unwrap();
     let mut lossy = TenantConfig::new(4);
     lossy.faults = Some(FaultPlan { corrupt_prob: 0.2, ..FaultPlan::drops(0.2, 17) });
@@ -38,11 +34,11 @@ fn chaos_broker<'g>(catalog: &'g GraphCatalog, round_threads: usize) -> Broker<'
 /// (the byte stream under test), then a single-client retry workload against
 /// the zero-depth tenant. Returns every response line plus the deterministic
 /// load counters (retries, shed, issued).
-fn chaos_run(round_threads: usize) -> (Vec<String>, (u64, u64, u64)) {
+fn chaos_run() -> (Vec<String>, (u64, u64, u64)) {
     let g = workloads::er(56, 10.0, 4, 3);
     let mut catalog = GraphCatalog::new();
     catalog.insert("g", g);
-    let broker = chaos_broker(&catalog, round_threads);
+    let broker = chaos_broker(&catalog);
     let requests = [
         "SOLVE id=1 tenant=steady graph=g query=apsp-thm11:xi=1.5",
         "SOLVE id=2 tenant=lossy graph=g query=apsp-thm11:xi=1.5",
@@ -105,23 +101,11 @@ fn assert_stream_shape(stream: &[String]) {
 
 #[test]
 fn chaos_serving_is_byte_identical_across_runs() {
-    let (a, tallies_a) = chaos_run(1);
-    let (b, tallies_b) = chaos_run(1);
+    let (a, tallies_a) = chaos_run();
+    let (b, tallies_b) = chaos_run();
     assert_stream_shape(&a);
     assert_eq!(a, b, "two identical chaos runs must produce identical response streams");
     assert_eq!(tallies_a, tallies_b, "retry/shed/issued counts must be identical");
     assert_eq!(tallies_a.0, 8, "4 requests x 2 retries, all deterministic");
     assert_eq!(tallies_a.1, 4, "every throttled request sheds after its retries");
-}
-
-#[test]
-fn chaos_serving_is_byte_identical_across_round_thread_budgets() {
-    let (seq, tallies_seq) = chaos_run(1);
-    let (par, tallies_par) = chaos_run(4);
-    assert_stream_shape(&seq);
-    assert_eq!(
-        seq, par,
-        "sequential and sharded round engines must produce identical response streams"
-    );
-    assert_eq!(tallies_seq, tallies_par);
 }

@@ -90,6 +90,38 @@ fn apsp_long_cycle_is_decided_by_the_routed_labels() {
     }
 }
 
+/// Theorem 1.3 SSSP where only the skeleton route can answer: on a
+/// 400-cycle at ξ = 1.5 the skeleton budget is h = 99 hops, so the 201 nodes
+/// more than 99 hops from the source are unreachable in its h-hop-gated
+/// local row and must come from the skeleton distances. At the ξ = 2 of
+/// `sssp_exact_across_families` h likely reaches every node of those
+/// 70–90-node graphs, so the local rows alone can decide each answer.
+#[test]
+fn sssp_long_cycle_is_decided_by_the_skeleton() {
+    let g = cycle(400, 3).unwrap();
+    let source = NodeId::new(0);
+    let query = Query::sssp(source).xi(1.5).build().unwrap();
+    let mut net = HybridNet::new(&g, HybridConfig::default());
+    let report = solve(&mut net, &query, 5).unwrap();
+    assert_eq!(report.guarantee, Guarantee::Exact);
+    assert_eq!(report.h, 99);
+    assert_eq!(report.rounds, 238);
+    assert_eq!(report.skeleton_size, 34);
+    let (s, row) = report.distance_row().expect("row answer");
+    assert_eq!(s, source);
+    assert_eq!(row, dijkstra(&g, source).as_slice());
+    let (dist, hops) = dijkstra_lex(&g, source);
+    let h = report.h as Distance;
+    let skeleton_only = g
+        .nodes()
+        .filter(|v| {
+            let gated = if hops[v.index()] <= h { dist[v.index()] } else { INFINITY };
+            row[v.index()] < gated
+        })
+        .count();
+    assert_eq!(skeleton_only, 201);
+}
+
 #[test]
 fn apsp_baseline_exact_across_families() {
     let query = Query::apsp().variant(ApspVariant::Soda20).xi(2.0).build().unwrap();

@@ -3,10 +3,9 @@
 //! A [`Session`] must answer every query bit-identically to a fresh
 //! `solve()` — distances, rounds, guarantees, message accounting, and
 //! structured errors under faults — while amortizing the shared preamble.
-//! This suite pins that contract over the whole scenario registry, the two
-//! pinned E2 perf instances, the thread-sharded round engine, and closes
-//! with the cold-vs-amortized ratio assertion (ratio-based, so a noisy box
-//! can't fake or break it).
+//! This suite pins that contract over the whole scenario registry and the two
+//! pinned E2 perf instances, and closes with the cold-vs-amortized ratio
+//! assertion (ratio-based, so a noisy box can't fake or break it).
 
 use hybrid_bench::experiments::mixed_query_batch;
 use hybrid_shortest_paths::core::session::{Session, SessionConfig};
@@ -115,31 +114,6 @@ fn pinned_e2_instances_answer_bit_identically() {
             assert_reports_identical(&fresh, &served, &format!("E2 n={n} {}", query.label()));
             assert_eq!(served.rounds, rounds, "E2 n={n} {} pinned rounds", query.label());
         }
-    }
-}
-
-/// Equivalence holds under the thread-sharded round engine: a session pinned
-/// to `round_threads = 4` answers identically to the default fresh path
-/// (which PR 4's determinism suite proves thread-invariant).
-#[test]
-fn session_under_four_round_threads_is_bit_identical() {
-    for sc in registry().iter().filter(|sc| !sc.faults.is_lossy()) {
-        let g = sc.graph(48);
-        let query = sc.suite.query();
-        let mut net = sc.net(&g);
-        let fresh = solve(&mut net, &query, sc.seed).expect("healthy scenarios solve");
-        let session = Session::new(
-            &g,
-            SessionConfig {
-                xi: sc.suite.xi(),
-                net: sc.faults.config(),
-                round_threads: Some(4),
-                ..SessionConfig::new(sc.seed)
-            },
-        )
-        .expect("session");
-        let served = session.solve(&query).expect("session solve");
-        assert_reports_identical(&fresh, &served, &format!("{} @ 4 round threads", sc.name));
     }
 }
 
